@@ -40,6 +40,7 @@ from .descent import (
     StepSizeError,
     StepSizePolicy,
     Trajectory,
+    auto_step_policy,
     contraction_rate,
     gd_step,
     rgd_step,
@@ -103,7 +104,7 @@ __all__ = [
     "sqdist_hyperboloid", "perturbed_quad",
     "build", "catalog_ids", "fd_gradient_oracle", "estimate_gamma",
     # descent
-    "StepSizePolicy", "StepRecord", "Trajectory",
+    "StepSizePolicy", "auto_step_policy", "StepRecord", "Trajectory",
     "StepSizeError", "NoContractionError",
     "gd_step", "rgd_step", "run", "contraction_rate",
     # certification

@@ -14,7 +14,6 @@ only the points actually drawn, and says so through its fields.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -22,14 +21,14 @@ import numpy as np
 
 from . import curvature
 from .curvature import CurvatureProfile
-from .descent import StepSizeError, rgd_step
+from .descent import REGION_EXIT_TOL, StepSizeError, _step_along, auto_step_policy
 from .manifolds import (
     FlatMetric,
+    Hyperboloid,
     ManifoldError,
     ManifoldPoint,
     Region,
     TangentVector,
-    UndefinedLogarithmError,
     _as_spd_matrix,
     dist,
     exp_map,
@@ -65,7 +64,6 @@ DEFAULT_GAMMA_PAIRS = 256
 MIN_C_OBS = 1e-10
 # gradient-norm threshold flagging a possible second critical point
 CRITICAL_POINT_GRAD_TOL = 1e-6
-REGION_EXIT_TOL = 1e-9
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 # decorrelates the smoothness-estimation stream from the per-sample streams
 _GAMMA_STREAM = 0x9E3779B97F4A7C15
@@ -83,7 +81,7 @@ def _require_positive(name: str, value) -> float:
 
 
 def _pairwise_sum(values: list) -> float:
-    """Summation with a fixed pairwise tree so results never depend on chunking."""
+    """Summation in a fixed pairwise tree; residual_mean is defined by this order."""
     n = len(values)
     if n == 0:
         return 0.0
@@ -101,17 +99,17 @@ def wsc_residual(obj: Objective, x: ManifoldPoint, a: float, mu: float) -> float
     a = _require_positive("a", a)
     mu = _require_positive("mu", mu)
     xstar = obj.metadata.minimizer
-    fstar = obj.value(xstar)
-    return _wsc_residual_at(obj, x, a, mu, fstar)
+    ip = _pull(x, obj.gradient(x), xstar)
+    return _residual(ip, dist(x, xstar), obj.value(x), obj.value(xstar), a, mu)
 
 
-def _wsc_residual_at(obj: Objective, x: ManifoldPoint, a: float, mu: float, fstar: float) -> float:
-    xstar = obj.metadata.minimizer
-    g = obj.gradient(x)
-    to_min = log_map(x, xstar)
-    ip = inner(x, g, TangentVector(x, -to_min.coords))
-    d = dist(x, xstar)
-    return ip / a - 0.5 * mu * d * d - (obj.value(x) - fstar)
+def _pull(x: ManifoldPoint, g: TangentVector, xstar: ManifoldPoint) -> float:
+    """<grad f(x), -log_x(x*)>, with g = grad f(x); raises ManifoldError where the log does."""
+    return inner(x, g, TangentVector(x, -log_map(x, xstar).coords))
+
+
+def _residual(ip: float, d: float, value: float, fstar: float, a: float, mu: float) -> float:
+    return ip / a - 0.5 * mu * d * d - (value - fstar)
 
 
 def converse_parameters(c: float, gamma: float, eta: float, delta_bar_val: float):
@@ -273,6 +271,7 @@ class _Sample:
     dist_to_min: float
     grad_norm: float
     value: float
+    pull: Optional[float]  # <grad f(x), -log_x(x*)>; None where the logarithm raised
     ratio: Optional[float]
     exited: bool
     step_error: Optional[str]
@@ -281,20 +280,25 @@ class _Sample:
 def _probe_sample(obj: Objective, region: Region, eta: float, seed: int, index: int) -> _Sample:
     """Draw sample #index from its own RNG stream and take one descent step.
 
-    Deterministic in (seed, index) alone, so results cannot depend on how
-    samples are distributed over workers.
+    Deterministic in (seed, index) alone, so sample i does not depend on
+    n_samples. The gradient, value, distance to x* and pull toward x* are
+    evaluated once here; the step and the residual stage reuse them.
     """
     rng = np.random.default_rng((int(seed) ^ index) & _MASK64)
     x = sample_point(region, rng)
     xstar = obj.metadata.minimizer
     d = dist(x, xstar)
-    gnorm = obj.gradient(x).norm()
+    g = obj.gradient(x)
     val = obj.value(x)
+    try:
+        pull = _pull(x, g, xstar)
+    except ManifoldError:
+        pull = None
     ratio = None
     exited = False
     err = None
     try:
-        stepped = rgd_step(obj, x, eta)
+        stepped = _step_along(obj, x, g, eta)
     except (ManifoldError, StepSizeError) as e:
         err = str(e)
     else:
@@ -302,7 +306,7 @@ def _probe_sample(obj: Objective, region: Region, eta: float, seed: int, index: 
         exited = dist(region.center, stepped) > region.radius + REGION_EXIT_TOL
         if d > 1e-12:
             ratio = (d_next / d) ** 2
-    return _Sample(index, x, d, gnorm, val, ratio, exited, err)
+    return _Sample(index, x, d, g.norm(), val, pull, ratio, exited, err)
 
 
 def _witness_dict(sample: _Sample, reason: str) -> dict:
@@ -317,7 +321,7 @@ def _witness_dict(sample: _Sample, reason: str) -> dict:
 def certify_region(
     obj: Objective,
     region: Region,
-    eta: float,
+    eta: float | str,
     n_samples: int,
     seed: int = 42,
     *,
@@ -336,13 +340,19 @@ def certify_region(
     certified / refuted (negative residual, with witness) / inconclusive
     (contraction hypothesis failed, constants degenerate, or steps errored).
 
+    eta = "auto" applies descent.auto_step_policy with the gamma resolved
+    here. workers is validated and never changes the result: samples are
+    probed in index order on the calling thread.
+
     Step and log errors during probing become flags, never exceptions.
     """
     if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 1:
         raise CertificationError(f"n_samples must be a positive integer, got {n_samples!r}")
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise CertificationError(f"workers must be a positive integer, got {workers!r}")
-    eta = _require_positive("eta", eta)
+    auto_eta = eta == "auto"
+    if not auto_eta:
+        eta = _require_positive("eta", eta)
     tol_residual = _require_positive("tol_residual", tol_residual)
     seed = int(seed)
     if region.center.manifold != obj.manifold:
@@ -350,9 +360,19 @@ def certify_region(
     xstar = obj.metadata.minimizer
     if dist(region.center, xstar) > 1e-9:
         raise CertificationError("region must be centered at the declared minimizer")
+    if isinstance(obj.manifold, Hyperboloid):
+        reach = math.acosh(max(float(region.center.coords[-1]), 1.0)) + region.radius
+        limit = math.acosh(Hyperboloid.TIME_CAP)
+        if reach >= limit:
+            raise CertificationError(
+                f"region reaches distance {reach:.6g} from the hyperboloid apex; the trusted "
+                f"chart limit is acosh({Hyperboloid.TIME_CAP:g}) = {limit:.6g}"
+            )
 
     profile = CurvatureProfile.from_manifold(obj.manifold)
     gamma_used, gamma_source = resolve_gamma(obj, region, seed, gamma_override, gamma_pairs)
+    if auto_eta:
+        eta = auto_step_policy(obj, region, gamma_used).resolve()
     if profile.k_max > 0.0 and eta > 2.0 / gamma_used + 1e-15:
         raise CertificationError(
             f"eta = {eta:.6g} exceeds the 2/gamma = {2.0 / gamma_used:.6g} cap required "
@@ -383,7 +403,7 @@ def certify_region(
         flags.add("degenerate-region")
         delta0 = curvature.delta_bar(profile.k_max, 0.0)
         a, mu = converse_parameters(1.0, gamma_used, eta, delta0)
-        r0 = _wsc_residual_at(obj, region.center, a, mu, fstar)
+        r0 = wsc_residual(obj, region.center, a, mu)
         consistency = consistency_check(a, mu, eta, 1.0, theorem_parameters=(delta0 == 1.0))
         if not consistency.ok:
             flags.add("consistency-violation")
@@ -392,15 +412,7 @@ def certify_region(
             res_min=r0, res_mean=r0, res_min_scaled=r0, consistency=consistency,
         )
 
-    def probe(i: int) -> _Sample:
-        return _probe_sample(obj, region, eta, seed, i)
-
-    if workers == 1:
-        samples = [probe(i) for i in range(n_samples)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, n_samples // (workers * 4))
-            samples = list(pool.map(probe, range(n_samples), chunksize=chunk))
+    samples = [_probe_sample(obj, region, eta, seed, i) for i in range(n_samples)]
 
     for s in samples:
         if s.step_error is not None:
@@ -433,21 +445,13 @@ def certify_region(
     if not consistency.ok:
         flags.add("consistency-violation")
 
-    residuals = []
-    scaled = []
-    residual_errors = 0
-    for s in samples:
-        try:
-            r = _wsc_residual_at(obj, s.point, a, mu, fstar)
-        except (ManifoldError, UndefinedLogarithmError):
-            residual_errors += 1
-            continue
-        residuals.append(r)
-        scaled.append(r / max(1.0, abs(s.value - fstar), s.dist_to_min ** 2))
-    if residual_errors or not residuals:
+    if any(s.pull is None for s in samples):
         flags.add("step-error")
         return finish("inconclusive", delta_bar_used=delta_bar_used, worst=worst,
                       c_obs=c_obs, a=a, mu=mu, consistency=consistency)
+    residuals = [_residual(s.pull, s.dist_to_min, s.value, fstar, a, mu) for s in samples]
+    scaled = [r / max(1.0, abs(s.value - fstar), s.dist_to_min ** 2)
+              for r, s in zip(residuals, samples)]
 
     res_min = min(residuals)
     res_mean = _pairwise_sum(residuals) / len(residuals)

@@ -18,11 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import curvature
 from .certify import TOOL_VERSION, CertificationError, certify_region, resolve_gamma
 from .config import ConfigError, ExperimentConfig, load_config
-from .curvature import CurvatureProfile
-from .descent import NoContractionError, StepSizePolicy, contraction_rate, run as run_trajectory
+from .descent import NoContractionError, StepSizePolicy, auto_step_policy, contraction_rate, run as run_trajectory
 from .manifolds import ManifoldError, sample_point
 from .objectives import ObjectiveError
 from .reporting import write_certificate, write_trajectory_csv, write_trajectory_json
@@ -60,7 +58,7 @@ def _build_parser() -> _Parser:
 
     certify = sub.add_parser("certify", help="certify weak-strong-convexity on a region")
     add_common(certify)
-    certify.add_argument("--workers", type=int, help="parallel sample workers (result-invariant)")
+    certify.add_argument("--workers", type=int, help="accepted, never changes the result (samples run on one thread)")
 
     runp = sub.add_parser("run", help="record one descent trajectory")
     add_common(runp)
@@ -91,30 +89,11 @@ def _overrides(args) -> dict:
     return out
 
 
-def _resolve_eta(cfg: ExperimentConfig):
-    """Turn the config's eta field into a number plus the policy that produced it."""
-    if cfg.eta != "auto":
-        return float(cfg.eta), StepSizePolicy(mode="fixed", eta=float(cfg.eta))
-    gamma, _source = resolve_gamma(cfg.objective, cfg.region, cfg.seed, cfg.gamma)
-    a = cfg.objective.metadata.analytic_a
-    if a is None:
-        a = 1.0
-    profile = CurvatureProfile.from_manifold(cfg.manifold)
-    policy = StepSizePolicy(
-        mode="thm2_guard",
-        a=a,
-        gamma=gamma,
-        zeta_value=curvature.zeta(profile.k_min, cfg.region.radius),
-    )
-    return policy.resolve(), policy
-
-
 def _cmd_certify(cfg: ExperimentConfig, quiet: bool) -> int:
-    eta, _policy = _resolve_eta(cfg)
     cert = certify_region(
         cfg.objective,
         cfg.region,
-        eta,
+        cfg.eta,
         cfg.n_samples,
         cfg.seed,
         workers=cfg.workers,
@@ -135,8 +114,11 @@ def _cmd_certify(cfg: ExperimentConfig, quiet: bool) -> int:
 
 
 def _cmd_run(cfg: ExperimentConfig, quiet: bool) -> int:
-    eta, policy = _resolve_eta(cfg)
-    del eta  # the policy carries it
+    if cfg.eta == "auto":
+        gamma, _source = resolve_gamma(cfg.objective, cfg.region, cfg.seed, cfg.gamma)
+        policy = auto_step_policy(cfg.objective, cfg.region, gamma)
+    else:
+        policy = StepSizePolicy(mode="fixed", eta=float(cfg.eta))
     rng = np.random.default_rng(cfg.seed & 0xFFFFFFFFFFFFFFFF)
     x0 = sample_point(cfg.region, rng)
     traj = run_trajectory(cfg.objective, x0, policy, cfg.n_steps, region=cfg.region, seed=cfg.seed)

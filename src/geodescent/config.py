@@ -32,6 +32,7 @@ from typing import Any, Mapping, Optional, Union
 
 import numpy as np
 
+from .certify import DEFAULT_TOL_RESIDUAL
 from .manifolds import Manifold, ManifoldError, Region, manifold_from_descriptor
 from .objectives import Objective, ObjectiveError, build
 
@@ -46,7 +47,6 @@ DEFAULTS = {
     "gamma": None,
     "out": "out",
 }
-DEFAULT_TOL_RESIDUAL = 1e-9
 
 _KNOWN_KEYS = frozenset(
     ["manifold", "objective", "region", "eta", "n_samples", "n_steps",

@@ -80,12 +80,6 @@ class CurvatureProfile:
         lo, hi = manifold.curvature_bounds
         return cls(lo, hi)
 
-    def zeta_at(self, d: float) -> float:
-        return zeta(self.k_min, d)
-
-    def delta_bar_at(self, d: float) -> float:
-        return delta_bar(self.k_max, d)
-
 
 @dataclass(frozen=True, eq=False)
 class TriangleCheck:

@@ -29,6 +29,7 @@ __all__ = [
     "StepSizeError",
     "NoContractionError",
     "StepSizePolicy",
+    "auto_step_policy",
     "StepRecord",
     "Trajectory",
     "gd_step",
@@ -102,6 +103,21 @@ class StepSizePolicy:
         else:
             out.update(a=float(self.a), gamma=float(self.gamma), zeta_value=float(self.zeta_value))
         return out
+
+
+def auto_step_policy(obj: Objective, region: Region, gamma: float) -> StepSizePolicy:
+    """The policy behind eta = "auto": thm2_guard, min(a / (zeta * gamma), 2 / gamma).
+
+    a is the objective's analytic constant (1 when it has none) and zeta is
+    evaluated at the region radius with the manifold's lower curvature bound.
+    """
+    a = obj.metadata.analytic_a
+    return StepSizePolicy(
+        mode="thm2_guard",
+        a=1.0 if a is None else a,
+        gamma=gamma,
+        zeta_value=curvature.zeta(obj.manifold.curvature_bounds[0], region.radius),
+    )
 
 
 @dataclass(frozen=True)
@@ -180,8 +196,11 @@ def gd_step(obj: Objective, x: ManifoldPoint, eta: float) -> ManifoldPoint:
 
 def rgd_step(obj: Objective, x: ManifoldPoint, eta: float) -> ManifoldPoint:
     """One step of Riemannian gradient descent: exp_x(-eta * grad f(x))."""
-    eta = _check_eta(eta)
-    g = obj.gradient(x)
+    return _step_along(obj, x, obj.gradient(x), _check_eta(eta))
+
+
+def _step_along(obj: Objective, x: ManifoldPoint, g: TangentVector, eta: float) -> ManifoldPoint:
+    """rgd_step from the already evaluated gradient g = grad f(x) and a checked eta."""
     if obj.manifold.kind == "sphere":
         step_len = eta * g.norm()
         if step_len >= math.pi:
@@ -191,15 +210,10 @@ def rgd_step(obj: Objective, x: ManifoldPoint, eta: float) -> ManifoldPoint:
     return exp_map(x, TangentVector(x, -eta * g.coords))
 
 
-def _record(obj: Objective, x: ManifoldPoint, index: int, eta: float) -> StepRecord:
-    return StepRecord(
-        index=index,
-        point=x,
-        value=obj.value(x),
-        gradient_norm=obj.gradient(x).norm(),
-        dist_to_min=dist(x, obj.metadata.minimizer),
-        eta_used=eta,
-    )
+def _record(obj: Objective, x: ManifoldPoint, index: int, eta: float):
+    """The record of iterate x together with its gradient, which the next step reuses."""
+    value, g = obj.value(x), obj.gradient(x)
+    return StepRecord(index, x, value, g.norm(), dist(x, obj.metadata.minimizer), eta), g
 
 
 def run(
@@ -212,6 +226,7 @@ def run(
 ) -> Trajectory:
     """Apply rgd_step n_steps times, recording every iterate.
 
+    Each iterate's gradient is evaluated once, for its record and its step.
     Aborts early with a recorded stop reason on a stepping error or when a
     non-finite value or gradient appears; the offending record is kept so the
     exported trajectory shows where things went wrong.
@@ -222,17 +237,18 @@ def run(
         raise ValueError("x0 lies outside the declared region")
     eta = policy.resolve()
 
-    records = [_record(obj, x0, 0, eta)]
+    rec, g = _record(obj, x0, 0, eta)
+    records = [rec]
     exited: list[int] = []
     stop_reason = "completed"
     x = x0
     for i in range(1, n_steps + 1):
         try:
-            x = rgd_step(obj, x, eta)
+            x = _step_along(obj, x, g, _check_eta(eta))
         except (ManifoldError, StepSizeError) as e:
             stop_reason = f"step-error: {e}"
             break
-        rec = _record(obj, x, i, eta)
+        rec, g = _record(obj, x, i, eta)
         records.append(rec)
         if region is not None and dist(region.center, x) > region.radius + REGION_EXIT_TOL:
             exited.append(i)

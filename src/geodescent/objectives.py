@@ -35,8 +35,6 @@ __all__ = [
     "ObjectiveError",
     "ObjectiveMetadata",
     "Objective",
-    "value",
-    "riemannian_gradient",
     "quad_euclidean",
     "quad_flat_metric",
     "rayleigh_sphere",
@@ -92,14 +90,6 @@ class Objective:
     def _require_on(self, x: ManifoldPoint) -> None:
         if x.manifold != self.manifold:
             raise ObjectiveError(f"point is not on the manifold of objective '{self.id}'")
-
-
-def value(obj: Objective, x: ManifoldPoint) -> float:
-    return obj.value(x)
-
-
-def riemannian_gradient(obj: Objective, x: ManifoldPoint) -> TangentVector:
-    return obj.gradient(x)
 
 
 def _symmetric_matrix(values, what: str) -> np.ndarray:

@@ -18,9 +18,11 @@ from geodescent.certify import (
     weaker_smoothness_residual,
     wsc_residual,
 )
+from geodescent import manifolds
 from geodescent.descent import rgd_step
-from geodescent.manifolds import Euclidean, Region, dist, sample_point
+from geodescent.manifolds import Euclidean, Hyperboloid, Region, dist, sample_point
 from geodescent.objectives import (
+    Objective,
     perturbed_quad,
     quad_euclidean,
     quad_flat_metric,
@@ -285,6 +287,73 @@ def test_certify_input_validation():
         certify_region(obj, region, -0.25, 10)
     with pytest.raises(CertificationError):
         certify_region(obj, region, 0.25, 10, tol_residual=0.0)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_certify_evaluates_gradient_and_value_once_per_sample(monkeypatch):
+    obj = quad()
+    region = Region(obj.metadata.minimizer, 10.0)
+    grads = count_calls(monkeypatch, Objective, "gradient")
+    values = count_calls(monkeypatch, Objective, "value")
+    cert = certify_region(obj, region, 0.25, 50, seed=3)
+    assert cert.verdict == "certified"
+    assert len(grads) == 50
+    assert len(values) == 51  # one per sample plus f(x*)
+
+
+def test_certify_auto_eta_applies_the_auto_policy():
+    # sphere: estimated gamma; hyperboloid: zeta > 1 shrinks the step
+    for obj, radius in ((rayleigh_sphere(np.diag([3.0, 2.5, 1.0])), 0.4),
+                        (sqdist_hyperboloid([0.0, 0.0, 1.0]), 1.5)):
+        region = Region(obj.metadata.minimizer, radius)
+        auto = certify_region(obj, region, "auto", 64, seed=5)
+        gamma, _ = resolve_gamma(obj, region, 5)
+        zeta_r = 1.0 if obj.manifold.kind == "sphere" else radius / math.tanh(radius)
+        expected = min(1.0 / (zeta_r * gamma), 2.0 / gamma)
+        assert auto.eta_used == expected
+        assert auto.to_json_dict() == certify_region(obj, region, expected, 64, seed=5).to_json_dict()
+
+
+def test_certify_rejects_hyperboloid_region_beyond_the_chart():
+    obj = sqdist_hyperboloid([0.0, 0.0, 1.0])
+    with pytest.raises(CertificationError) as info:
+        certify_region(obj, Region(obj.metadata.minimizer, 7.7), 0.5, 20, seed=1)
+    assert "chart limit" in str(info.value)
+    # off-apex centre at distance 2 whose ball of radius 6 crosses the cap
+    off = sqdist_hyperboloid([math.sinh(2.0), 0.0, math.cosh(2.0)])
+    with pytest.raises(CertificationError):
+        certify_region(off, Region(off.metadata.minimizer, 6.0), 0.5, 20, seed=1)
+    assert math.acosh(Hyperboloid.TIME_CAP) > 7.5
+    cert = certify_region(obj, Region(obj.metadata.minimizer, 7.5), 0.5, 50, seed=1)
+    assert cert.verdict == "certified"
+
+
+def test_certify_logarithm_error_is_recorded_on_its_sample(monkeypatch):
+    real = manifolds.Sphere._log
+
+    def flaky(self, x, y):
+        if x[1] > 0.1:
+            raise manifolds.UndefinedLogarithmError("forced")
+        return real(self, x, y)
+
+    monkeypatch.setattr(manifolds.Sphere, "_log", flaky)
+    obj = rayleigh_sphere(np.diag([0.0, 0.5, 1.0, 3.0]))
+    cert = certify_region(obj, Region(obj.metadata.minimizer, 0.5), 0.3, 64, seed=0)
+    assert cert.verdict == "inconclusive"
+    assert "step-error" in cert.flags
+    assert cert.c_obs is not None and cert.a is not None
+    assert cert.residual_min is None
 
 
 def test_certify_rejects_mismatched_region():

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from geodescent import certify as certify_module
 from geodescent.certify import certify_region
 from geodescent.cli import main
 from geodescent.config import ConfigError, load_config, parse_config
@@ -155,6 +156,57 @@ def test_cli_certify_auto_eta_on_sphere(tmp_path, capsys):
     }
     assert main(["certify", "--config", write_doc(tmp_path, doc)]) == 0
     assert "verdict=certified" in capsys.readouterr().out
+
+
+def test_cli_certify_auto_eta_estimates_gamma_once(tmp_path, monkeypatch):
+    calls = []
+    real = certify_module.estimate_gamma
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify_module, "estimate_gamma", counted)
+    doc = {
+        "manifold": {"kind": "sphere", "dim": 2},
+        "objective": {"id": "rayleigh_sphere", "params": {"matrix": [[3, 0, 0], [0, 2.5, 0], [0, 0, 1]]}},
+        "region": {"radius": 0.4},
+        "n_samples": 50,
+        "out": str(tmp_path / "out"),
+    }
+    assert main(["certify", "--config", write_doc(tmp_path, doc), "--quiet"]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_auto_eta_matches_library_auto_eta(tmp_path):
+    doc = {
+        "manifold": {"kind": "hyperboloid", "dim": 2},
+        "objective": {"id": "sqdist_hyperboloid", "params": {"target": [0.0, 0.0, 1.0]}},
+        "region": {"radius": 1.5},
+        "n_samples": 80,
+        "seed": 9,
+        "out": str(tmp_path / "out"),
+    }
+    assert main(["certify", "--config", write_doc(tmp_path, doc), "--quiet"]) == 0
+    from_cli = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    cfg = load_config(write_doc(tmp_path, doc))
+    auto = certify_region(cfg.objective, cfg.region, "auto", 80, 9)
+    explicit = certify_region(cfg.objective, cfg.region, from_cli["eta_used"], 80, 9)
+    assert canonical_json(from_cli) == canonical_json(auto.to_json_dict())
+    assert canonical_json(auto.to_json_dict()) == canonical_json(explicit.to_json_dict())
+
+
+def test_cli_hyperboloid_region_beyond_chart_exit_three(tmp_path, capsys):
+    doc = {
+        "manifold": {"kind": "hyperboloid", "dim": 2},
+        "objective": {"id": "sqdist_hyperboloid", "params": {"target": [0.0, 0.0, 1.0]}},
+        "region": {"radius": 7.7},
+        "n_samples": 20,
+        "out": str(tmp_path / "out"),
+    }
+    assert main(["certify", "--config", write_doc(tmp_path, doc)]) == 3
+    assert "chart limit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_certify_inconclusive_exit(tmp_path):

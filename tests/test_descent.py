@@ -18,6 +18,7 @@ from geodescent.descent import (
 )
 from geodescent.manifolds import Region, dist, sample_point
 from geodescent.objectives import (
+    Objective,
     perturbed_quad,
     quad_euclidean,
     quad_flat_metric,
@@ -209,6 +210,21 @@ def test_run_aborts_on_non_finite_value():
     traj = run(obj, obj.manifold.point([2.0, 2.0]), StepSizePolicy(mode="fixed", eta=1e160), 10)
     assert traj.stop_reason == "non-finite-value"
     assert len(traj.steps) < 11
+
+
+def test_run_evaluates_one_gradient_per_iterate(monkeypatch):
+    obj = quad_euclidean(Q14, [0.0, 0.0])
+    calls = []
+    real = Objective.gradient
+
+    def counted(self, x):
+        calls.append(1)
+        return real(self, x)
+
+    monkeypatch.setattr(Objective, "gradient", counted)
+    traj = run(obj, obj.manifold.point([1.0, -2.0]), StepSizePolicy(mode="fixed", eta=0.1), 20)
+    assert len(traj.steps) == 21
+    assert len(calls) == 21
 
 
 def test_run_validates_n_steps():
