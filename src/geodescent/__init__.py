@@ -28,7 +28,6 @@ from .certify import (
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .curvature import (
     CurvatureDomainError,
-    CurvatureProfile,
     TriangleCheck,
     delta_bar,
     lemma2_residual,
@@ -97,7 +96,7 @@ __all__ = [
     "project_tangent", "tangent_basis", "sample_point", "manifold_from_descriptor",
     # curvature
     "zeta", "delta_bar", "lemma2_residual",
-    "CurvatureProfile", "TriangleCheck", "CurvatureDomainError",
+    "TriangleCheck", "CurvatureDomainError",
     # objectives
     "Objective", "ObjectiveMetadata", "ObjectiveError",
     "quad_euclidean", "quad_flat_metric", "rayleigh_sphere",

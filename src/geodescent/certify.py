@@ -14,14 +14,13 @@ only the points actually drawn, and says so through its fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import curvature
-from .curvature import CurvatureProfile
-from .descent import REGION_EXIT_TOL, StepSizeError, _step_along, auto_step_policy
+from .descent import CONTRACTION_SCAN_FLOOR, REGION_EXIT_TOL, StepSizeError, _step_along, auto_step_policy
 from .manifolds import (
     FlatMetric,
     Hyperboloid,
@@ -36,7 +35,7 @@ from .manifolds import (
     log_map,
     sample_point,
 )
-from .objectives import Objective, estimate_gamma
+from .objectives import PAIR_SEPARATION, Objective, estimate_gamma
 
 __all__ = [
     "TOOL_VERSION",
@@ -59,7 +58,9 @@ __all__ = [
 TOOL_VERSION = "0.1.0"
 
 DEFAULT_TOL_RESIDUAL = 1e-9
-DEFAULT_GAMMA_PAIRS = 256
+GAMMA_PAIRS = 256
+# roundoff allowed when consistency_check compares a*mu*eta with c and its bounds
+CONSISTENCY_SLACK = 1e-12
 # contraction rates below this make the converse constants degenerate (a -> 0)
 MIN_C_OBS = 1e-10
 # gradient-norm threshold flagging a possible second critical point
@@ -151,18 +152,7 @@ class ConsistencyReport:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "mu": self.mu,
-            "eta": self.eta,
-            "c": self.c,
-            "product": self.product,
-            "product_le_c": self.product_le_c,
-            "theorem_form": self.theorem_form,
-            "identity_ok": self.identity_ok,
-            "bracket_ok": self.bracket_ok,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def consistency_check(a: float, mu: float, eta: float, c: float, *, theorem_parameters: bool = False) -> ConsistencyReport:
@@ -173,13 +163,13 @@ def consistency_check(a: float, mu: float, eta: float, c: float, *, theorem_para
     if not (0.0 < c <= 1.0):
         raise CertificationError(f"contraction rate must lie in (0, 1], got {c!r}")
     product = a * mu * eta
-    product_le_c = product <= c + 1e-12
+    product_le_c = product <= c + CONSISTENCY_SLACK
     identity_ok = None
     bracket_ok = None
     if theorem_parameters:
         expected = c / (4.0 * (1.0 - math.sqrt(c) / 2.0))
-        identity_ok = abs(product - expected) <= 1e-12
-        bracket_ok = (c / 4.0 - 1e-12) <= product <= (c / 2.0 + 1e-12)
+        identity_ok = abs(product - expected) <= CONSISTENCY_SLACK
+        bracket_ok = (c / 4.0 - CONSISTENCY_SLACK) <= product <= (c / 2.0 + CONSISTENCY_SLACK)
         ok = product_le_c and identity_ok and bracket_ok
     else:
         ok = product_le_c
@@ -190,24 +180,26 @@ def consistency_check(a: float, mu: float, eta: float, c: float, *, theorem_para
     )
 
 
-def resolve_gamma(
-    obj: Objective,
-    region: Region,
-    seed: int,
-    override: Optional[float] = None,
-    n_pairs: int = DEFAULT_GAMMA_PAIRS,
-):
+def resolve_gamma(obj: Objective, region: Region, seed: int, override: Optional[float] = None):
     """Smoothness constant with provenance: override > analytic > sampled estimate.
 
-    The estimate draws from its own RNG stream (decorrelated from the sample
-    streams) so it is reproducible for a given seed regardless of sample count.
+    The estimate uses GAMMA_PAIRS point pairs drawn from its own RNG stream
+    (decorrelated from the sample streams), so it is reproducible for a given
+    seed regardless of sample count. A region whose diameter is below
+    objectives.PAIR_SEPARATION holds no such pairs: it raises
+    CertificationError before anything is drawn, and needs gamma set.
     """
     if override is not None:
         return _require_positive("gamma override", override), "override"
     if obj.metadata.gamma is not None:
         return float(obj.metadata.gamma), "analytic"
+    if 2.0 * region.radius < PAIR_SEPARATION:
+        raise CertificationError(
+            f"region radius {region.radius:.6g} is too small to estimate gamma from point pairs "
+            f"{PAIR_SEPARATION:g} apart; set gamma"
+        )
     rng = np.random.default_rng((int(seed) ^ _GAMMA_STREAM) & _MASK64)
-    est = estimate_gamma(obj, region, n_pairs, rng)
+    est = estimate_gamma(obj, region, GAMMA_PAIRS, rng)
     if est <= 0.0:
         raise CertificationError("estimated smoothness constant is zero; nothing to certify against")
     return est, "estimated"
@@ -304,7 +296,7 @@ def _probe_sample(obj: Objective, region: Region, eta: float, seed: int, index: 
     else:
         d_next = dist(stepped, xstar)
         exited = dist(region.center, stepped) > region.radius + REGION_EXIT_TOL
-        if d > 1e-12:
+        if d > CONTRACTION_SCAN_FLOOR:
             ratio = (d_next / d) ** 2
     return _Sample(index, x, d, g.norm(), val, pull, ratio, exited, err)
 
@@ -327,7 +319,6 @@ def certify_region(
     *,
     workers: int = 1,
     gamma_override: Optional[float] = None,
-    gamma_pairs: int = DEFAULT_GAMMA_PAIRS,
     tol_residual: float = DEFAULT_TOL_RESIDUAL,
 ) -> WscCertificate:
     """Sampled weak-strong-convexity certificate for a geodesic ball around x*.
@@ -369,11 +360,11 @@ def certify_region(
                 f"chart limit is acosh({Hyperboloid.TIME_CAP:g}) = {limit:.6g}"
             )
 
-    profile = CurvatureProfile.from_manifold(obj.manifold)
-    gamma_used, gamma_source = resolve_gamma(obj, region, seed, gamma_override, gamma_pairs)
+    k_max = obj.manifold.curvature_bounds[1]
+    gamma_used, gamma_source = resolve_gamma(obj, region, seed, gamma_override)
     if auto_eta:
         eta = auto_step_policy(obj, region, gamma_used).resolve()
-    if profile.k_max > 0.0 and eta > 2.0 / gamma_used + 1e-15:
+    if k_max > 0.0 and eta > 2.0 / gamma_used + 1e-15:
         raise CertificationError(
             f"eta = {eta:.6g} exceeds the 2/gamma = {2.0 / gamma_used:.6g} cap required "
             "on positively curved manifolds"
@@ -401,7 +392,7 @@ def certify_region(
     if region.radius == 0.0:
         # one-point ball: the inequality is an identity at x* itself
         flags.add("degenerate-region")
-        delta0 = curvature.delta_bar(profile.k_max, 0.0)
+        delta0 = curvature.delta_bar(k_max, 0.0)
         a, mu = converse_parameters(1.0, gamma_used, eta, delta0)
         r0 = wsc_residual(obj, region.center, a, mu)
         consistency = consistency_check(a, mu, eta, 1.0, theorem_parameters=(delta0 == 1.0))
@@ -438,7 +429,7 @@ def certify_region(
         flags.add("contraction-below-threshold")
         return finish("inconclusive", worst=worst, c_obs=c_obs)
 
-    delta_bar_used = curvature.delta_bar(profile.k_max, region.radius)
+    delta_bar_used = curvature.delta_bar(k_max, region.radius)
     a, mu = converse_parameters(c_obs, gamma_used, eta, delta_bar_used)
     consistency = consistency_check(a, mu, eta, c_obs,
                                     theorem_parameters=(delta_bar_used == 1.0))

@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .manifolds import ManifoldPoint, Manifold, dist, inner, log_map
+from .manifolds import ManifoldPoint, dist, inner, log_map
 
 __all__ = [
     "CurvatureDomainError",
-    "CurvatureProfile",
     "zeta",
     "delta_bar",
     "TriangleCheck",
@@ -64,23 +63,6 @@ def delta_bar(k_max: float, d: float) -> float:
     return s / math.tan(s)
 
 
-@dataclass(frozen=True)
-class CurvatureProfile:
-    """Sectional curvature bounds of a space together with the derived constants."""
-
-    k_min: float
-    k_max: float
-
-    def __post_init__(self):
-        if self.k_min > self.k_max:
-            raise ValueError("k_min must not exceed k_max")
-
-    @classmethod
-    def from_manifold(cls, manifold: Manifold) -> "CurvatureProfile":
-        lo, hi = manifold.curvature_bounds
-        return cls(lo, hi)
-
-
 @dataclass(frozen=True, eq=False)
 class TriangleCheck:
     """Outcome of one comparison-inequality evaluation on a geodesic triangle."""
@@ -91,17 +73,6 @@ class TriangleCheck:
     delta_used: float
     residual: float
     scale: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a": [float(v) for v in self.a.coords],
-            "b": [float(v) for v in self.b.coords],
-            "c": [float(v) for v in self.c.coords],
-            "manifold": self.a.manifold.descriptor(),
-            "delta_used": float(self.delta_used),
-            "residual": float(self.residual),
-            "scale": float(self.scale),
-        }
 
 
 def _conservative_delta(k_max: float, ab: float, bc: float, ac: float) -> float:

@@ -45,6 +45,7 @@ POINT_TOL = 1e-10
 TANGENT_TOL = 1e-10
 _SMALL = 1e-8           # below this, series / identity branches take over
 _ANTIPODE_GUARD = 1e-8  # sphere logarithm rejected within this of distance pi
+_DEGENERATE = 1e-14     # log and transport treat shorter directions as zero
 
 
 class ManifoldError(ValueError):
@@ -117,10 +118,7 @@ class Manifold:
         return ManifoldPoint(self, coords)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, type(self)) and type(self) is type(other) and self.dim == other.dim
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
+        return type(self) is type(other) and self.dim == other.dim
 
     __hash__ = object.__hash__
 
@@ -178,7 +176,7 @@ class Manifold:
 
 
 class Euclidean(Manifold):
-    """Plain Euclidean space R^n."""
+    """Plain Euclidean space R^n; FlatMetric reuses its straight-line kernel."""
 
     kind = "euclidean"
 
@@ -214,7 +212,7 @@ class Euclidean(Manifold):
         return [row for row in np.eye(self.dim)]
 
 
-class FlatMetric(Manifold):
+class FlatMetric(Euclidean):
     """R^n under a constant SPD metric A: <u, v> = u^T A v, geodesics are straight lines."""
 
     kind = "flat_metric"
@@ -229,10 +227,6 @@ class FlatMetric(Manifold):
     @property
     def metric(self) -> np.ndarray:
         return self._metric
-
-    @property
-    def curvature_bounds(self) -> tuple[float, float]:
-        return (0.0, 0.0)
 
     def descriptor(self) -> dict:
         return {
@@ -250,30 +244,12 @@ class FlatMetric(Manifold):
 
     __hash__ = object.__hash__
 
-    def _check_point(self, c):
-        pass
-
-    def _check_tangent(self, x, v):
-        pass
-
     def _inner(self, x, u, v):
         return float(u @ self._metric @ v)
-
-    def _exp(self, x, v):
-        return x + v
-
-    def _log(self, x, y):
-        return y - x
 
     def _dist(self, x, y):
         z = y - x
         return math.sqrt(max(float(z @ self._metric @ z), 0.0))
-
-    def _transport(self, x, y, v):
-        return v.copy()
-
-    def _project(self, x, w):
-        return w.copy()
 
     def _tangent_basis(self, x):
         # columns of L^{-T} are orthonormal in the A inner product
@@ -336,7 +312,7 @@ class Sphere(Manifold):
         w = y - float(x @ y) * x
         w = w - float(x @ w) * x
         nw = float(np.linalg.norm(w))
-        if d < 1e-14 or nw < 1e-14:
+        if d < _DEGENERATE or nw < _DEGENERATE:
             return np.zeros_like(x)
         return (d / nw) * w
 
@@ -349,7 +325,7 @@ class Sphere(Manifold):
         w = y - float(x @ y) * x
         w = w - float(x @ w) * x
         nw = float(np.linalg.norm(w))
-        if nw < 1e-14:
+        if nw < _DEGENERATE:
             return self._project(y, v)
         e = w / nw
         comp = float(e @ v)
@@ -442,7 +418,7 @@ class Hyperboloid(Manifold):
         w = y + _mink(x, y) * x
         w = w + _mink(x, w) * x
         nw = math.sqrt(max(_mink(w, w), 0.0))
-        if d < 1e-14 or nw < 1e-14:
+        if d < _DEGENERATE or nw < _DEGENERATE:
             return np.zeros_like(x)
         return (d / nw) * w
 
@@ -451,7 +427,7 @@ class Hyperboloid(Manifold):
         w = y + _mink(x, y) * x
         w = w + _mink(x, w) * x
         nw = math.sqrt(max(_mink(w, w), 0.0))
-        if nw < 1e-14:
+        if nw < _DEGENERATE:
             return self._project(y, v)
         e = w / nw
         comp = _mink(e, v)
@@ -479,12 +455,6 @@ class ManifoldPoint:
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "manifold": self.manifold.descriptor(),
-            "coords": [float(v) for v in self.coords],
-        }
-
     def __repr__(self) -> str:
         return f"ManifoldPoint({self.manifold!r}, {np.array2string(self.coords, precision=6)})"
 
@@ -509,13 +479,6 @@ class TangentVector:
     def norm(self) -> float:
         m = self.base.manifold
         return math.sqrt(max(m._inner(self.base.coords, self.coords, self.coords), 0.0))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "manifold": self.base.manifold.descriptor(),
-            "base": [float(v) for v in self.base.coords],
-            "coords": [float(v) for v in self.coords],
-        }
 
 
 @dataclass(frozen=True, eq=False)

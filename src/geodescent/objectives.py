@@ -48,6 +48,8 @@ __all__ = [
 
 GRADIENT_NORM_AT_MIN = 1e-8
 MIN_SPECTRAL_GAP = 1e-6
+# estimate_gamma only uses point pairs at least this far apart
+PAIR_SEPARATION = 1e-6
 
 
 class ObjectiveError(ValueError):
@@ -322,59 +324,15 @@ def perturbed_quad(q, minimizer, epsilon: float | None = None, omega: float = 5.
     return obj
 
 
-def _build_quad_euclidean(params: Mapping, manifold: Manifold) -> Objective:
-    if manifold.kind != "euclidean":
-        raise ObjectiveError("quad_euclidean requires a euclidean manifold")
-    obj = quad_euclidean(params["q"], params["minimizer"])
-    if obj.manifold != manifold:
-        raise ObjectiveError("quadratic size disagrees with the configured manifold dimension")
-    return obj
-
-
-def _build_quad_flat_metric(params: Mapping, manifold: Manifold) -> Objective:
-    if manifold.kind != "flat_metric":
-        raise ObjectiveError("quad_flat_metric requires a flat_metric manifold")
-    return quad_flat_metric(params["q"], params["minimizer"], manifold.metric)
-
-
-def _build_rayleigh(params: Mapping, manifold: Manifold) -> Objective:
-    if manifold.kind != "sphere":
-        raise ObjectiveError("rayleigh_sphere requires a sphere manifold")
-    obj = rayleigh_sphere(params["matrix"])
-    if obj.manifold != manifold:
-        raise ObjectiveError("rayleigh matrix size disagrees with the configured sphere dimension")
-    return obj
-
-
-def _build_sqdist(params: Mapping, manifold: Manifold) -> Objective:
-    if manifold.kind != "hyperboloid":
-        raise ObjectiveError("sqdist_hyperboloid requires a hyperboloid manifold")
-    obj = sqdist_hyperboloid(params["target"])
-    if obj.manifold != manifold:
-        raise ObjectiveError("target size disagrees with the configured hyperboloid dimension")
-    return obj
-
-
-def _build_perturbed(params: Mapping, manifold: Manifold) -> Objective:
-    if manifold.kind != "euclidean":
-        raise ObjectiveError("perturbed_quad requires a euclidean manifold")
-    obj = perturbed_quad(
-        params["q"],
-        params["minimizer"],
-        epsilon=params.get("epsilon"),
-        omega=params.get("omega", 5.0),
-    )
-    if obj.manifold != manifold:
-        raise ObjectiveError("quadratic size disagrees with the configured manifold dimension")
-    return obj
-
-
-_BUILDERS: dict[str, tuple[Callable[[Mapping, Manifold], Objective], tuple[str, ...]]] = {
-    "quad_euclidean": (_build_quad_euclidean, ("q", "minimizer")),
-    "quad_flat_metric": (_build_quad_flat_metric, ("q", "minimizer")),
-    "rayleigh_sphere": (_build_rayleigh, ("matrix",)),
-    "sqdist_hyperboloid": (_build_sqdist, ("target",)),
-    "perturbed_quad": (_build_perturbed, ("q", "minimizer")),
+# id -> (required manifold kind, required params, factory(params, manifold))
+_BUILDERS: dict[str, tuple[str, tuple[str, ...], Callable[[Mapping, Manifold], Objective]]] = {
+    "quad_euclidean": ("euclidean", ("q", "minimizer"), lambda p, m: quad_euclidean(p["q"], p["minimizer"])),
+    "quad_flat_metric": ("flat_metric", ("q", "minimizer"),
+                         lambda p, m: quad_flat_metric(p["q"], p["minimizer"], m.metric)),
+    "rayleigh_sphere": ("sphere", ("matrix",), lambda p, m: rayleigh_sphere(p["matrix"])),
+    "sqdist_hyperboloid": ("hyperboloid", ("target",), lambda p, m: sqdist_hyperboloid(p["target"])),
+    "perturbed_quad": ("euclidean", ("q", "minimizer"), lambda p, m: perturbed_quad(
+        p["q"], p["minimizer"], epsilon=p.get("epsilon"), omega=p.get("omega", 5.0))),
 }
 
 
@@ -388,11 +346,18 @@ def build(objective_id: str, params: Mapping, manifold: Manifold) -> Objective:
         raise ObjectiveError(
             f"unknown objective id '{objective_id}' (known: {', '.join(catalog_ids())})"
         )
-    builder, required = _BUILDERS[objective_id]
+    kind, required, factory = _BUILDERS[objective_id]
     for key in required:
         if key not in params:
             raise ObjectiveError(f"objective '{objective_id}' requires parameter '{key}'")
-    return builder(params, manifold)
+    if manifold.kind != kind:
+        raise ObjectiveError(f"{objective_id} requires a {kind} manifold")
+    obj = factory(params, manifold)
+    if obj.manifold != manifold:
+        raise ObjectiveError(
+            f"{objective_id} parameter sizes disagree with the configured {kind} dimension {manifold.dim}"
+        )
+    return obj
 
 
 def fd_gradient_oracle(obj: Objective, x: ManifoldPoint, h: float = 1e-5) -> TangentVector:
@@ -413,9 +378,11 @@ def fd_gradient_oracle(obj: Objective, x: ManifoldPoint, h: float = 1e-5) -> Tan
 def estimate_gamma(obj: Objective, region: Region, n_pairs: int, rng: np.random.Generator) -> float:
     """Sampled geodesic smoothness constant with a 1.05 safety factor.
 
-    Draws point pairs in the region (at distance >= 1e-6, resampling closer
-    pairs) and returns 1.05 * max ||grad f(x) - transport(grad f(y))|| / dist.
-    A zero estimate (constant objective) is returned as exactly 0.0.
+    Draws n_pairs point pairs in the region (at distance >= PAIR_SEPARATION,
+    resampling closer pairs) and returns
+    1.05 * max ||grad f(x) - transport(grad f(y))|| / dist. A zero estimate
+    (constant objective) is returned as exactly 0.0. Raises ObjectiveError when
+    200 redraws in a row land closer than PAIR_SEPARATION.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
@@ -428,11 +395,11 @@ def estimate_gamma(obj: Objective, region: Region, n_pairs: int, rng: np.random.
         x = sample_point(region, rng)
         y = sample_point(region, rng)
         tries = 0
-        while dist(x, y) < 1e-6:
+        while dist(x, y) < PAIR_SEPARATION:
             y = sample_point(region, rng)
             tries += 1
             if tries > 200:
-                raise RuntimeError("region is too small to draw separated sample pairs")
+                raise ObjectiveError("region is too small to draw separated sample pairs")
         g_x = obj.gradient(x)
         g_y = parallel_transport(y, x, obj.gradient(y))
         diff = TangentVector(x, g_x.coords - g_y.coords)

@@ -33,20 +33,23 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def write_certificate(cert: WscCertificate, out_dir: str, filename: str = "certificate.json") -> str:
+def _write_json(doc: dict, out_dir: str, name: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
-    doc = cert.to_json_dict()
     doc["created_at"] = _utc_now()
-    path = os.path.join(out_dir, filename)
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
 
-def write_trajectory_csv(traj: Trajectory, out_dir: str, filename: str = "trajectory.csv") -> str:
+def write_certificate(cert: WscCertificate, out_dir: str) -> str:
+    return _write_json(cert.to_json_dict(), out_dir, "certificate.json")
+
+
+def write_trajectory_csv(traj: Trajectory, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, filename)
+    path = os.path.join(out_dir, "trajectory.csv")
     ambient = len(traj.steps[0].point.coords) if traj.steps else 0
     header = ["step"] + [f"x{i}" for i in range(ambient)] + ["f", "grad_norm", "dist_to_min", "eta"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -59,12 +62,5 @@ def write_trajectory_csv(traj: Trajectory, out_dir: str, filename: str = "trajec
     return path
 
 
-def write_trajectory_json(traj: Trajectory, out_dir: str, filename: str = "trajectory.json") -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    doc = traj.to_json_dict()
-    doc["created_at"] = _utc_now()
-    path = os.path.join(out_dir, filename)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def write_trajectory_json(traj: Trajectory, out_dir: str) -> str:
+    return _write_json(traj.to_json_dict(), out_dir, "trajectory.json")

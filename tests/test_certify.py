@@ -165,6 +165,18 @@ def test_resolve_gamma_provenance():
         resolve_gamma(obj, region, 1, override=0.0)
 
 
+@pytest.mark.parametrize("radius", [0.0, 1e-7])
+def test_gamma_estimate_rejects_region_too_small_to_sample(radius):
+    ray = rayleigh_sphere(np.diag([3.0, 2.5, 1.0]))
+    region = Region(ray.metadata.minimizer, radius)
+    with pytest.raises(CertificationError, match="set gamma"):
+        resolve_gamma(ray, region, 7)
+    with pytest.raises(CertificationError, match="set gamma"):
+        certify_region(ray, region, "auto", 16, seed=7)
+    cert = certify_region(ray, region, 0.1, 16, seed=7, gamma_override=2.0)
+    assert (cert.verdict, cert.gamma_source) == ("certified", "override")
+
+
 # ------------------------------------------------------------- certify_region
 
 

@@ -209,6 +209,28 @@ def test_cli_hyperboloid_region_beyond_chart_exit_three(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["certify", "run"])
+@pytest.mark.parametrize("radius", [0.0, 1e-7])
+def test_cli_region_too_small_to_estimate_gamma_exit_three(tmp_path, command, radius):
+    doc = {
+        "manifold": {"kind": "sphere", "dim": 2},
+        "objective": {"id": "rayleigh_sphere", "params": {"matrix": [[3, 0, 0], [0, 2.5, 0], [0, 0, 1]]}},
+        "region": {"radius": radius},
+        "gamma": None,
+        "out": str(tmp_path / "out"),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "geodescent", command, "--config", write_doc(tmp_path, doc)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error:") and "set gamma" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    doc["gamma"] = 2.0
+    assert main(["certify", "--config", write_doc(tmp_path, doc), "--quiet"]) == 0
+
+
 def test_cli_certify_inconclusive_exit(tmp_path):
     doc = quad_doc(
         objective={

@@ -10,7 +10,6 @@ from _support import rand_triangle
 
 from geodescent.curvature import (
     CurvatureDomainError,
-    CurvatureProfile,
     delta_bar,
     lemma2_residual,
     zeta,
@@ -91,12 +90,11 @@ def test_delta_bar_domain_guard():
         delta_bar(1.0, -0.1)
 
 
-def test_curvature_profile_from_manifold():
-    assert CurvatureProfile.from_manifold(Euclidean(2)) == CurvatureProfile(0.0, 0.0)
-    assert CurvatureProfile.from_manifold(Sphere(2)) == CurvatureProfile(1.0, 1.0)
-    assert CurvatureProfile.from_manifold(Hyperboloid(2)) == CurvatureProfile(-1.0, -1.0)
-    with pytest.raises(ValueError):
-        CurvatureProfile(1.0, -1.0)
+def test_curvature_bounds_of_each_manifold():
+    assert Euclidean(2).curvature_bounds == (0.0, 0.0)
+    assert FlatMetric([[2.0, 0.3], [0.3, 1.5]]).curvature_bounds == (0.0, 0.0)
+    assert Sphere(2).curvature_bounds == (1.0, 1.0)
+    assert Hyperboloid(2).curvature_bounds == (-1.0, -1.0)
 
 
 # ----------------------------------------------------------------- lemma 2
@@ -176,12 +174,3 @@ def test_lemma2_rejects_mixed_manifolds():
     c = Euclidean(3).point([0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         lemma2_residual(a, b, c)
-
-
-def test_triangle_check_json_dict():
-    m = Euclidean(2)
-    chk = lemma2_residual(m.point([0.0, 0.0]), m.point([1.0, 0.0]), m.point([0.0, 1.0]))
-    doc = chk.to_json_dict()
-    assert doc["manifold"]["kind"] == "euclidean"
-    assert doc["delta_used"] == 1.0
-    assert set(doc) == {"a", "b", "c", "manifold", "delta_used", "residual", "scale"}

@@ -359,6 +359,32 @@ def test_metric_matrix_validation():
         FlatMetric([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # not square
 
 
+def test_flat_equality_is_type_strict():
+    a = np.array([[2.0, 0.3], [0.3, 1.5]])
+    assert Euclidean(2) != FlatMetric(np.eye(2))
+    assert FlatMetric(np.eye(2)) != Euclidean(2)
+    assert not Euclidean(2) == FlatMetric(np.eye(2))
+    assert FlatMetric(a) == FlatMetric(a.copy())
+    assert not FlatMetric(a) != FlatMetric(a.copy())
+    assert FlatMetric(a) != FlatMetric(np.eye(2))
+    assert Euclidean(2) == Euclidean(2) and Euclidean(2) != Euclidean(3)
+
+
+def test_identity_metric_matches_euclidean_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 5):
+        flat, plain = FlatMetric(np.eye(n)), Euclidean(n)
+        for _ in range(50):
+            x, y, u, v = (rng.normal(scale=3.0, size=n) for _ in range(4))
+            fx, fy, px, py = flat.point(x), flat.point(y), plain.point(x), plain.point(y)
+            fu, fv, pu, pv = TangentVector(fx, u), TangentVector(fx, v), TangentVector(px, u), TangentVector(px, v)
+            assert np.array_equal(exp_map(fx, fu).coords, exp_map(px, pu).coords)
+            assert np.array_equal(log_map(fx, fy).coords, log_map(px, py).coords)
+            assert dist(fx, fy) == dist(px, py)
+            assert np.array_equal(parallel_transport(fx, fy, fu).coords, parallel_transport(px, py, pu).coords)
+            assert inner(fx, fu, fv) == inner(px, pu, pv)
+
+
 # ------------------------------------------------------------ region/sampling
 
 
@@ -419,10 +445,3 @@ def test_descriptor_errors():
         manifold_from_descriptor({"kind": "sphere", "dim": 2.5})
     with pytest.raises(ManifoldError):
         manifold_from_descriptor({"kind": "flat_metric"})
-
-
-def test_point_json_dict():
-    m = Sphere(2)
-    doc = m.point(e(0, 3)).to_json_dict()
-    assert doc["manifold"] == {"kind": "sphere", "dim": 2}
-    assert doc["coords"] == [1.0, 0.0, 0.0]

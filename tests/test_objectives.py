@@ -159,6 +159,8 @@ def test_estimate_gamma_validation():
         estimate_gamma(obj, region, 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         estimate_gamma(obj, Region(obj.metadata.minimizer, 0.0), 8, np.random.default_rng(0))
+    with pytest.raises(ObjectiveError, match="too small"):
+        estimate_gamma(obj, Region(obj.metadata.minimizer, 3e-7), 8, np.random.default_rng(0))
 
 
 # -------------------------------------------------------------- construction
@@ -265,6 +267,30 @@ def test_build_rejects_manifold_mismatch():
         build("quad_euclidean", {"q": q, "minimizer": [0.0, 0.0]}, Euclidean(3))
     with pytest.raises(ObjectiveError):
         build("rayleigh_sphere", {"matrix": [[3.0, 0.0], [0.0, 1.0]]}, Sphere(2))
+
+
+# id -> (params, matching manifold, manifold of the wrong size, manifold of the wrong kind)
+_MISMATCHED = {
+    "quad_euclidean": ({"q": Q14, "minimizer": [0.0, 0.0]}, Euclidean(2), Euclidean(3), Sphere(2)),
+    "quad_flat_metric": (
+        {"q": Q14, "minimizer": [0.0, 0.0]}, FlatMetric(np.eye(2)), FlatMetric(np.eye(3)), Euclidean(2),
+    ),
+    "rayleigh_sphere": ({"matrix": np.diag([3.0, 2.0, 1.0])}, Sphere(2), Sphere(3), Euclidean(3)),
+    "sqdist_hyperboloid": ({"target": [0.0, 0.0, 1.0]}, Hyperboloid(2), Hyperboloid(3), Sphere(2)),
+    "perturbed_quad": (
+        {"q": Q14, "minimizer": [0.0, 0.0]}, Euclidean(2), Euclidean(3), FlatMetric(np.eye(2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("objective_id", catalog_ids())
+def test_build_rejects_wrong_manifold_size_and_kind(objective_id):
+    params, right, wrong_size, wrong_kind = _MISMATCHED[objective_id]
+    assert build(objective_id, params, right).manifold == right
+    with pytest.raises(ObjectiveError):
+        build(objective_id, params, wrong_size)
+    with pytest.raises(ObjectiveError, match=f"{objective_id} requires a"):
+        build(objective_id, params, wrong_kind)
 
 
 # ------------------------------------------------- analytic ground truth
