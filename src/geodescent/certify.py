@@ -24,11 +24,13 @@ from .descent import CONTRACTION_SCAN_FLOOR, REGION_EXIT_TOL, StepSizeError, _st
 from .manifolds import (
     FlatMetric,
     Hyperboloid,
+    Manifold,
     ManifoldError,
     ManifoldPoint,
     Region,
     TangentVector,
     _as_spd_matrix,
+    _checked_point,
     dist,
     exp_map,
     inner,
@@ -100,13 +102,13 @@ def wsc_residual(obj: Objective, x: ManifoldPoint, a: float, mu: float) -> float
     a = _require_positive("a", a)
     mu = _require_positive("mu", mu)
     xstar = obj.metadata.minimizer
-    ip = _pull(x, obj.gradient(x), xstar)
+    ip = _pull(obj.manifold, x.coords, obj.gradient(x).coords, xstar.coords)
     return _residual(ip, dist(x, xstar), obj.value(x), obj.value(xstar), a, mu)
 
 
-def _pull(x: ManifoldPoint, g: TangentVector, xstar: ManifoldPoint) -> float:
-    """<grad f(x), -log_x(x*)>, with g = grad f(x); raises ManifoldError where the log does."""
-    return inner(x, g, TangentVector(x, -log_map(x, xstar).coords))
+def _pull(m: Manifold, x: np.ndarray, g: np.ndarray, xstar: np.ndarray) -> float:
+    """<grad f(x), -log_x(x*)> on coordinates; raises ManifoldError where the log does."""
+    return m._inner(x, g, -m._log(x, xstar))
 
 
 def _residual(ip: float, d: float, value: float, fstar: float, a: float, mu: float) -> float:
@@ -185,15 +187,15 @@ def resolve_gamma(obj: Objective, region: Region, seed: int, override: Optional[
 
     The estimate uses GAMMA_PAIRS point pairs drawn from its own RNG stream
     (decorrelated from the sample streams), so it is reproducible for a given
-    seed regardless of sample count. A region whose diameter is below
-    objectives.PAIR_SEPARATION holds no such pairs: it raises
-    CertificationError before anything is drawn, and needs gamma set.
+    seed regardless of sample count. Radius r < 2s (s = PAIR_SEPARATION) raises
+    CertificationError before drawing; set gamma there. From 2s on, a ball of radius s
+    holds at most (s/r)^dim <= 1/2 of a uniform draw, so a pair fails with probability <= 2^-201.
     """
     if override is not None:
         return _require_positive("gamma override", override), "override"
     if obj.metadata.gamma is not None:
         return float(obj.metadata.gamma), "analytic"
-    if 2.0 * region.radius < PAIR_SEPARATION:
+    if region.radius < 2.0 * PAIR_SEPARATION:
         raise CertificationError(
             f"region radius {region.radius:.6g} is too small to estimate gamma from point pairs "
             f"{PAIR_SEPARATION:g} apart; set gamma"
@@ -274,28 +276,30 @@ def _probe_sample(obj: Objective, region: Region, eta: float, seed: int, index: 
 
     Deterministic in (seed, index) alone, so sample i does not depend on
     n_samples. The gradient, value, distance to x* and pull toward x* are
-    evaluated once here; the step and the residual stage reuse them.
+    evaluated once here; the step and the residual stage reuse them. Only the
+    drawn point, its gradient and the stepped point are checked.
     """
     rng = np.random.default_rng((int(seed) ^ index) & _MASK64)
+    m = obj.manifold
     x = sample_point(region, rng)
-    xstar = obj.metadata.minimizer
-    d = dist(x, xstar)
+    xstar = obj.metadata.minimizer.coords
+    d = m._dist(x.coords, xstar)
     g = obj.gradient(x)
     val = obj.value(x)
     try:
-        pull = _pull(x, g, xstar)
+        pull = _pull(m, x.coords, g.coords, xstar)
     except ManifoldError:
         pull = None
     ratio = None
     exited = False
     err = None
     try:
-        stepped = _step_along(obj, x, g, eta)
+        stepped = _checked_point(m, _step_along(m, x.coords, g, eta))
     except (ManifoldError, StepSizeError) as e:
         err = str(e)
     else:
-        d_next = dist(stepped, xstar)
-        exited = dist(region.center, stepped) > region.radius + REGION_EXIT_TOL
+        d_next = m._dist(stepped, xstar)
+        exited = m._dist(region.center.coords, stepped) > region.radius + REGION_EXIT_TOL
         if d > CONTRACTION_SCAN_FLOOR:
             ratio = (d_next / d) ** 2
     return _Sample(index, x, d, g.norm(), val, pull, ratio, exited, err)

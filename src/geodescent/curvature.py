@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .manifolds import ManifoldPoint, dist, inner, log_map
+from .manifolds import ManifoldPoint
 
 __all__ = [
     "CurvatureDomainError",
@@ -112,9 +112,9 @@ def lemma2_residual(a: ManifoldPoint, b: ManifoldPoint, c: ManifoldPoint) -> Tri
     m = a.manifold
     if b.manifold != m or c.manifold != m:
         raise ValueError("triangle vertices live on different manifolds")
-    ab = dist(a, b)
-    bc = dist(b, c)
-    ac = dist(a, c)
+    ab = m._dist(a.coords, b.coords)
+    bc = m._dist(b.coords, c.coords)
+    ac = m._dist(a.coords, c.coords)
     k_max = m.curvature_bounds[1]
     if k_max > 0.0:
         bound = math.pi / math.sqrt(k_max)
@@ -123,9 +123,7 @@ def lemma2_residual(a: ManifoldPoint, b: ManifoldPoint, c: ManifoldPoint) -> Tri
                 raise CurvatureDomainError(
                     f"triangle side {name} = {side:.6g} must stay below pi/sqrt(k_max) = {bound:.6g}"
                 )
-    to_a = log_map(b, a)
-    to_c = log_map(b, c)
-    cross = inner(b, to_a, to_c)
+    cross = m._inner(b.coords, m._log(b.coords, a.coords), m._log(b.coords, c.coords))
     delta = _conservative_delta(k_max, ab, bc, ac)
     residual = ac * ac - (delta * bc * bc - 2.0 * cross + ab * ab)
     scale = max(ab, bc, ac) ** 2

@@ -15,14 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import curvature
-from .manifolds import (
-    ManifoldError,
-    ManifoldPoint,
-    Region,
-    TangentVector,
-    dist,
-    exp_map,
-)
+from .manifolds import Manifold, ManifoldError, ManifoldPoint, Region, TangentVector, dist
 from .objectives import Objective
 
 __all__ = [
@@ -196,24 +189,26 @@ def gd_step(obj: Objective, x: ManifoldPoint, eta: float) -> ManifoldPoint:
 
 def rgd_step(obj: Objective, x: ManifoldPoint, eta: float) -> ManifoldPoint:
     """One step of Riemannian gradient descent: exp_x(-eta * grad f(x))."""
-    return _step_along(obj, x, obj.gradient(x), _check_eta(eta))
+    return ManifoldPoint(obj.manifold, _step_along(obj.manifold, x.coords, obj.gradient(x), _check_eta(eta)))
 
 
-def _step_along(obj: Objective, x: ManifoldPoint, g: TangentVector, eta: float) -> ManifoldPoint:
-    """rgd_step from the already evaluated gradient g = grad f(x) and a checked eta."""
-    if obj.manifold.kind == "sphere":
+def _step_along(m: Manifold, x: np.ndarray, g: TangentVector, eta: float) -> np.ndarray:
+    """Unchecked coordinates of exp_x(-eta * g) from base coordinates x, the
+    checked gradient g = grad f(x) and a checked eta; callers check the result."""
+    if m.kind == "sphere":
         step_len = eta * g.norm()
         if step_len >= math.pi:
             raise StepSizeError(
                 f"step of length {step_len:.6g} reaches the injectivity radius pi on the sphere"
             )
-    return exp_map(x, TangentVector(x, -eta * g.coords))
+    return m._exp(x, -eta * g.coords)
 
 
 def _record(obj: Objective, x: ManifoldPoint, index: int, eta: float):
     """The record of iterate x together with its gradient, which the next step reuses."""
     value, g = obj.value(x), obj.gradient(x)
-    return StepRecord(index, x, value, g.norm(), dist(x, obj.metadata.minimizer), eta), g
+    d = obj.manifold._dist(x.coords, obj.metadata.minimizer.coords)
+    return StepRecord(index, x, value, g.norm(), d, eta), g
 
 
 def run(
@@ -237,6 +232,7 @@ def run(
         raise ValueError("x0 lies outside the declared region")
     eta = policy.resolve()
 
+    m = obj.manifold
     rec, g = _record(obj, x0, 0, eta)
     records = [rec]
     exited: list[int] = []
@@ -244,13 +240,13 @@ def run(
     x = x0
     for i in range(1, n_steps + 1):
         try:
-            x = _step_along(obj, x, g, _check_eta(eta))
+            x = ManifoldPoint(m, _step_along(m, x.coords, g, _check_eta(eta)))
         except (ManifoldError, StepSizeError) as e:
             stop_reason = f"step-error: {e}"
             break
         rec, g = _record(obj, x, i, eta)
         records.append(rec)
-        if region is not None and dist(region.center, x) > region.radius + REGION_EXIT_TOL:
+        if region is not None and m._dist(region.center.coords, x.coords) > region.radius + REGION_EXIT_TOL:
             exited.append(i)
         if not (math.isfinite(rec.value) and math.isfinite(rec.gradient_norm)):
             stop_reason = "non-finite-value"

@@ -236,7 +236,7 @@ class FlatMetric(Euclidean):
         }
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, FlatMetric)
             and self.dim == other.dim
             and np.array_equal(self._metric, other._metric)
@@ -438,6 +438,16 @@ class Hyperboloid(Manifold):
         return w + _mink(x, w) * x
 
 
+def _checked_point(m: Manifold, coords) -> np.ndarray:
+    """The point check, once: a finite read-only copy of coords that lies on m."""
+    c = _as_vector(coords, "point coordinates")
+    if c.shape[0] != m.ambient_dim:
+        raise ManifoldError(f"point has {c.shape[0]} coordinates, manifold is ambient-{m.ambient_dim}")
+    m._check_point(c)
+    c.setflags(write=False)
+    return c
+
+
 @dataclass(frozen=True, eq=False)
 class ManifoldPoint:
     """A validated point: coordinates plus the manifold they live on."""
@@ -446,14 +456,7 @@ class ManifoldPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = _as_vector(self.coords, "point coordinates")
-        if c.shape[0] != self.manifold.ambient_dim:
-            raise ManifoldError(
-                f"point has {c.shape[0]} coordinates, manifold is ambient-{self.manifold.ambient_dim}"
-            )
-        self.manifold._check_point(c)
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
+        object.__setattr__(self, "coords", _checked_point(self.manifold, self.coords))
 
     def __repr__(self) -> str:
         return f"ManifoldPoint({self.manifold!r}, {np.array2string(self.coords, precision=6)})"
@@ -573,8 +576,10 @@ def tangent_basis(x: ManifoldPoint) -> tuple[TangentVector, ...]:
 
 
 def sample_point(region: Region, rng: np.random.Generator) -> ManifoldPoint:
-    """Draw one point of the region: uniform tangent direction at the center
-    (normalized Gaussian) pushed to geodesic radius R * u^(1/dim), u uniform on (0, 1].
+    """Draw one point of the region: a normalized, tangent-projected Gaussian
+    direction at the center (uniform only where that projection is metric-isotropic:
+    not under a FlatMetric other than c * I, nor on the hyperboloid off its apex)
+    pushed to geodesic radius R * u^(1/dim), u uniform on (0, 1].
 
     Deterministic given the generator state; a radius-0 region returns its center.
     """

@@ -24,9 +24,7 @@ from .manifolds import (
     Region,
     Sphere,
     TangentVector,
-    dist,
     exp_map,
-    parallel_transport,
     sample_point,
     tangent_basis,
 )
@@ -390,18 +388,17 @@ def estimate_gamma(obj: Objective, region: Region, n_pairs: int, rng: np.random.
         raise ValueError("cannot estimate a smoothness constant on a degenerate region")
     if region.center.manifold != obj.manifold:
         raise ObjectiveError("region and objective live on different manifolds")
+    m = obj.manifold
     worst = 0.0
     for _ in range(n_pairs):
         x = sample_point(region, rng)
         y = sample_point(region, rng)
         tries = 0
-        while dist(x, y) < PAIR_SEPARATION:
+        while m._dist(x.coords, y.coords) < PAIR_SEPARATION:
             y = sample_point(region, rng)
             tries += 1
             if tries > 200:
                 raise ObjectiveError("region is too small to draw separated sample pairs")
-        g_x = obj.gradient(x)
-        g_y = parallel_transport(y, x, obj.gradient(y))
-        diff = TangentVector(x, g_x.coords - g_y.coords)
-        worst = max(worst, diff.norm() / dist(x, y))
+        diff = obj.gradient(x).coords - m._transport(y.coords, x.coords, obj.gradient(y).coords)
+        worst = max(worst, math.sqrt(max(m._inner(x.coords, diff, diff), 0.0)) / m._dist(x.coords, y.coords))
     return 1.05 * worst if worst > 0.0 else 0.0

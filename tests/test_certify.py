@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from geodescent.certify import (
+    GAMMA_PAIRS,
     CertificationError,
     certify_region,
     consistency_check,
@@ -19,10 +20,12 @@ from geodescent.certify import (
     wsc_residual,
 )
 from geodescent import manifolds
-from geodescent.descent import rgd_step
-from geodescent.manifolds import Euclidean, Hyperboloid, Region, dist, sample_point
+from geodescent.descent import StepSizePolicy, rgd_step, run
+from geodescent.manifolds import Euclidean, Hyperboloid, ManifoldPoint, Region, TangentVector, dist, sample_point
 from geodescent.objectives import (
+    PAIR_SEPARATION,
     Objective,
+    estimate_gamma,
     perturbed_quad,
     quad_euclidean,
     quad_flat_metric,
@@ -165,7 +168,7 @@ def test_resolve_gamma_provenance():
         resolve_gamma(obj, region, 1, override=0.0)
 
 
-@pytest.mark.parametrize("radius", [0.0, 1e-7])
+@pytest.mark.parametrize("radius", [0.0, 1e-7, 5e-7, 6e-7, 1e-6, 1.9e-6])
 def test_gamma_estimate_rejects_region_too_small_to_sample(radius):
     ray = rayleigh_sphere(np.diag([3.0, 2.5, 1.0]))
     region = Region(ray.metadata.minimizer, radius)
@@ -175,6 +178,21 @@ def test_gamma_estimate_rejects_region_too_small_to_sample(radius):
         certify_region(ray, region, "auto", 16, seed=7)
     cert = certify_region(ray, region, 0.1, 16, seed=7, gamma_override=2.0)
     assert (cert.verdict, cert.gamma_source) == ("certified", "override")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gamma_estimate_succeeds_at_twice_the_pair_separation(dim):
+    # the smallest radius resolve_gamma accepts: every geometry, several seeds
+    diag = np.diag([1.0, 4.0][:dim])
+    apex = [0.0] * dim + [1.0]
+    for obj in (quad_euclidean(diag, [0.0] * dim),
+                quad_flat_metric(diag, [0.0] * dim, np.diag([2.0, 1.5][:dim])),
+                rayleigh_sphere(np.diag([3.0, 2.5, 1.0][:dim + 1])),
+                sqdist_hyperboloid(apex)):
+        region = Region(obj.metadata.minimizer, 2.0 * PAIR_SEPARATION)
+        for seed in range(5):
+            est = estimate_gamma(obj, region, GAMMA_PAIRS, np.random.default_rng(seed))
+            assert math.isfinite(est) and est > 0.0
 
 
 # ------------------------------------------------------------- certify_region
@@ -322,6 +340,33 @@ def test_certify_evaluates_gradient_and_value_once_per_sample(monkeypatch):
     assert cert.verdict == "certified"
     assert len(grads) == 50
     assert len(values) == 51  # one per sample plus f(x*)
+
+
+FOUR_GEOMETRIES = {
+    "euclidean": (quad, 10.0, 4.0),
+    "flat_metric": (lambda: quad_flat_metric(Q14, [0.0, 0.0], [[2.0, 0.3], [0.3, 1.5]]), 5.0, 3.0),
+    "sphere": (lambda: rayleigh_sphere(np.diag([3.0, 2.5, 1.0])), 0.5, 2.1),
+    "hyperboloid": (lambda: sqdist_hyperboloid([0.0, 0.0, 1.0]), 2.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FOUR_GEOMETRIES))
+def test_pipelines_validate_each_point_and_gradient_once(monkeypatch, kind):
+    # certify: the drawn point and its gradient per sample (the stepped point is
+    # checked as coordinates); run: the stepped point and its gradient per step
+    make, radius, gamma = FOUR_GEOMETRIES[kind]
+    obj = make()
+    region = Region(obj.metadata.minimizer, radius)
+    x0 = sample_point(region, np.random.default_rng(1))
+    points = count_calls(monkeypatch, ManifoldPoint, "__post_init__")
+    tangents = count_calls(monkeypatch, TangentVector, "__post_init__")
+    certify_region(obj, region, "auto", 50, seed=3, gamma_override=gamma)
+    assert (len(points), len(tangents)) == (50, 50)
+    points.clear()
+    tangents.clear()
+    traj = run(obj, x0, StepSizePolicy(mode="fixed", eta=0.1), 20, region=region)
+    assert traj.stop_reason == "completed"
+    assert (len(points), len(tangents)) == (20, 21)
 
 
 def test_certify_auto_eta_applies_the_auto_policy():

@@ -210,7 +210,7 @@ def test_cli_hyperboloid_region_beyond_chart_exit_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["certify", "run"])
-@pytest.mark.parametrize("radius", [0.0, 1e-7])
+@pytest.mark.parametrize("radius", [0.0, 1e-7, 5e-7, 6e-7, 1e-6, 1.9e-6])
 def test_cli_region_too_small_to_estimate_gamma_exit_three(tmp_path, command, radius):
     doc = {
         "manifold": {"kind": "sphere", "dim": 2},
