@@ -75,8 +75,10 @@ def _normalize_params(params: Mapping, field: str) -> dict:
     out = {}
     for key, val in params.items():
         if isinstance(val, (list, tuple, np.ndarray)):
-            arr = np.asarray(val, dtype=float)
-            out[key] = arr.tolist()
+            try:
+                out[key] = np.asarray(val, dtype=float).tolist()
+            except (ValueError, TypeError) as e:
+                raise ConfigError(f"field '{field}.params.{key}' must be a rectangular numeric array: {e}") from e
         elif isinstance(val, bool) or val is None:
             raise ConfigError(f"field '{field}.params.{key}' must be numeric")
         elif isinstance(val, (int, float)):

@@ -277,6 +277,13 @@ def sqdist_hyperboloid(target) -> Objective:
     return obj
 
 
+def _real_scalar(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as e:
+        raise ObjectiveError(f"{name} must be a real scalar, got {value!r}") from e
+
+
 def perturbed_quad(q, minimizer, epsilon: float | None = None, omega: float = 5.0) -> Objective:
     """Quadratic plus eps * sin^2(omega (x_1 - x*_1)) on Euclidean space.
 
@@ -290,8 +297,7 @@ def perturbed_quad(q, minimizer, epsilon: float | None = None, omega: float = 5.
     xstar = manifold.point(minimizer)
     if epsilon is None:
         epsilon = 0.05 * max(float(evals[0]), 0.0)
-    eps = float(epsilon)
-    om = float(omega)
+    eps, om = _real_scalar(epsilon, "epsilon"), _real_scalar(omega, "omega")
     if eps < 0.0 or not math.isfinite(eps):
         raise ObjectiveError("epsilon must be a finite nonnegative real")
     if om <= 0.0 or not math.isfinite(om):

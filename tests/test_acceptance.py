@@ -11,19 +11,15 @@ import time
 import numpy as np
 
 from _oracles import critical_points_1d, delta_bar_reference, zeta_reference
-from _support import catalog, rand_tangent, rand_triangle, tangent_cap
 
 from geodescent.certify import (
     certify_region,
-    converse_parameters,
     preconditioned_equivalence,
     resolve_gamma,
     translate_constants,
-    wsc_residual,
 )
 from geodescent.cli import main as cli_main
 from geodescent.curvature import delta_bar, lemma2_residual, zeta
-from geodescent.descent import rgd_step
 from geodescent.manifolds import (
     Region,
     dist,
@@ -31,7 +27,6 @@ from geodescent.manifolds import (
     inner,
     log_map,
     parallel_transport,
-    sample_point,
 )
 from geodescent.objectives import (
     perturbed_quad,
@@ -41,6 +36,16 @@ from geodescent.objectives import (
     sqdist_hyperboloid,
 )
 from geodescent.reporting import canonical_json
+from geodescent.selftest import (
+    base_point,
+    catalog,
+    check_converse_round_trip,
+    check_forward_contraction_flat,
+    check_forward_contraction_hyperbolic,
+    rand_tangent,
+    rand_triangle,
+    tangent_cap,
+)
 
 Q14 = np.diag([1.0, 4.0])
 
@@ -68,7 +73,7 @@ def test_ac01_geometry_suite():
         rng = np.random.default_rng(101)
         cap = tangent_cap(m)
         for _ in range(1000):
-            base = m.point(_base_coords(m))
+            base = base_point(m)
             x = exp_map(base, rand_tangent(base, rng, rng.uniform(0.0, cap)))
             v = rand_tangent(x, rng, rng.uniform(1e-6, cap))
             y = exp_map(x, v)
@@ -85,16 +90,6 @@ def test_ac01_geometry_suite():
     _line(1, ok, f"geometry round-trip/transport/distance worst defect {worst:.3e} in {elapsed:.2f}s")
     assert worst <= 1e-9
     assert elapsed < 5.0
-
-
-def _base_coords(m):
-    if m.kind == "euclidean" or m.kind == "flat_metric":
-        return np.zeros(m.ambient_dim)
-    if m.kind == "sphere":
-        return np.eye(m.ambient_dim)[0]
-    c = np.zeros(m.ambient_dim)
-    c[-1] = 1.0
-    return c
 
 
 def test_ac02_triangle_comparison_suite():
@@ -138,70 +133,25 @@ def test_ac03_constant_formulas():
 
 def test_ac04_forward_contraction_flat():
     start = time.perf_counter()
-    obj = quad_euclidean(Q14, [0.0, 0.0])
-    star = obj.metadata.minimizer
-    rng = np.random.default_rng(404)
-    worst = 0.0
-    for _ in range(10_000):
-        x = obj.manifold.point(rng.uniform(-10.0, 10.0, size=2))
-        d0 = dist(x, star)
-        if d0 <= 1e-12:
-            continue
-        d1 = dist(rgd_step(obj, x, 0.25), star)
-        worst = max(worst, (d1 / d0) ** 2)
+    failure = check_forward_contraction_flat(10_000)
     elapsed = time.perf_counter() - start
-    ok = worst <= 0.75 + 1e-12 and elapsed < 10.0
-    _line(4, ok, f"worst squared-distance ratio {worst:.12f} <= 0.75 over 10^4 starts, {elapsed:.2f}s")
-    assert worst <= 0.75 + 1e-12
+    ok = failure is None and elapsed < 10.0
+    _line(4, ok, f"{failure or 'squared-distance ratio <= 0.75'} over 10^4 starts in [-10, 10]^2, {elapsed:.2f}s")
+    assert failure is None
     assert elapsed < 10.0
 
 
 def test_ac05_forward_contraction_hyperbolic():
-    obj = sqdist_hyperboloid([0.0, 0.0, 1.0])
-    star = obj.metadata.minimizer
-    region = Region(star, 2.0)
-    eta = 1.0 / zeta(-1.0, 2.0)
-    rng = np.random.default_rng(505)
-    worst = 0.0
-    for _ in range(100):
-        x = sample_point(region, rng)
-        d0 = dist(x, star)
-        if d0 <= 1e-12:
-            continue
-        d1 = dist(rgd_step(obj, x, eta), star)
-        worst = max(worst, (d1 / d0) ** 2)
-    ok = worst <= 1.0 - eta + 1e-9
-    _line(5, ok, f"worst ratio {worst:.6f} <= 1 - eta = {1.0 - eta:.6f} at step eta = 1/zeta(-1,2)")
-    assert ok
+    failure = check_forward_contraction_hyperbolic(100)
+    _line(5, failure is None, f"{failure or 'squared-distance ratio <= 1 - eta'} at step eta = 1/zeta(-1,2)")
+    assert failure is None
 
 
 def test_ac06_converse_round_trip_flat():
-    obj = quad_euclidean(Q14, [0.0, 0.0])
-    region = Region(obj.metadata.minimizer, 10.0)
-    eta = 0.25  # 1/gamma
-    cert = certify_region(obj, region, eta, 10_000, seed=42)
-    a, mu = converse_parameters(cert.c_obs, 4.0, eta, 1.0)
-
-    rng = np.random.default_rng(606)
-    fstar = obj.value(obj.metadata.minimizer)
-    worst = math.inf
-    for _ in range(10_000):
-        x = sample_point(region, rng)
-        scale = max(1.0, abs(obj.value(x) - fstar))
-        worst = min(worst, wsc_residual(obj, x, a, mu) / scale)
-
-    product_ok = a * mu * eta <= cert.c_obs
-    grid_ok = True
-    for c in (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0):
-        ag, mg = converse_parameters(c, 4.0, eta, 1.0)
-        ratio = ag * mg * eta / c
-        grid_ok = grid_ok and (0.25 - 1e-12 <= ratio <= 0.5 + 1e-12)
-
-    ok = worst >= -1e-9 and product_ok and grid_ok and cert.verdict == "certified"
-    _line(6, ok, f"min residual/scale {worst:.3e}, a*mu*eta={a * mu * eta:.6f} <= c_obs={cert.c_obs:.6f}, grid ok={grid_ok}")
-    assert worst >= -1e-9
-    assert product_ok
-    assert grid_ok
+    failure = check_converse_round_trip(10_000)
+    detail = "certified; min residual/scale >= -1e-9, a*mu*eta <= c_obs, grid ratio in [1/4, 1/2]"
+    _line(6, failure is None, f"{failure or detail} over 10^4 samples")
+    assert failure is None
 
 
 def test_ac07_converse_round_trip_sphere():

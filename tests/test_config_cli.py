@@ -94,6 +94,18 @@ def test_parse_applies_overrides_and_ignores_none():
         (quad_doc(tolerances={"energy": 1e-9}), "energy"),
         (quad_doc(tolerances={"residual": 0.0}), "'tolerances.residual'"),
         (quad_doc(out=""), "'out'"),
+        (quad_doc(objective={"id": "quad_euclidean", "params": {"q": [[1, 0], [0]], "minimizer": [0, 0]}}),
+         "objective.params.q"),
+        (quad_doc(objective={"id": "quad_euclidean", "params": {"q": [[1, "a"], [0, 4]], "minimizer": [0, 0]}}),
+         "objective.params.q"),
+        (quad_doc(objective={"id": "quad_euclidean", "params": {"q": [[1, {}], [0, 4]], "minimizer": [0, 0]}}),
+         "objective.params.q"),
+        (quad_doc(objective={"id": "quad_euclidean", "params": {"q": [[1, 0], [0, 4]], "minimizer": [[0], 0]}}),
+         "objective.params.minimizer"),
+        (quad_doc(objective={"id": "perturbed_quad", "params": {"q": [[1, 0], [0, 4]], "minimizer": [0, 0],
+                                                                "epsilon": [0.1]}}), "epsilon must be a real scalar"),
+        (quad_doc(objective={"id": "perturbed_quad", "params": {"q": [[1, 0], [0, 4]], "minimizer": [0, 0],
+                                                                "omega": [1, 2]}}), "omega must be a real scalar"),
     ],
 )
 def test_parse_rejects_bad_documents(doc, needle):
@@ -209,24 +221,24 @@ def test_cli_hyperboloid_region_beyond_chart_exit_three(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["certify", "run"])
-@pytest.mark.parametrize("radius", [0.0, 1e-7, 5e-7, 6e-7, 1e-6, 1.9e-6])
-def test_cli_region_too_small_to_estimate_gamma_exit_three(tmp_path, command, radius):
-    doc = {
+def tiny_sphere_doc(tmp_path, radius):
+    return {
         "manifold": {"kind": "sphere", "dim": 2},
         "objective": {"id": "rayleigh_sphere", "params": {"matrix": [[3, 0, 0], [0, 2.5, 0], [0, 0, 1]]}},
         "region": {"radius": radius},
         "gamma": None,
         "out": str(tmp_path / "out"),
     }
-    proc = subprocess.run(
-        [sys.executable, "-m", "geodescent", command, "--config", write_doc(tmp_path, doc)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("error:") and "set gamma" in proc.stderr
-    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["certify", "run"])
+@pytest.mark.parametrize("radius", [0.0, 1e-7, 5e-7, 6e-7, 1e-6, 1.9e-6])
+def test_cli_region_too_small_to_estimate_gamma_exit_three(tmp_path, capsys, command, radius):
+    doc = tiny_sphere_doc(tmp_path, radius)
+    assert main([command, "--config", write_doc(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "set gamma" in err
+    assert "Traceback" not in err
     doc["gamma"] = 2.0
     assert main(["certify", "--config", write_doc(tmp_path, doc), "--quiet"]) == 0
 
@@ -356,13 +368,16 @@ def test_cli_version(capsys):
 
 
 def test_cli_module_entry_point(tmp_path):
-    cfg = write_doc(tmp_path, quad_doc(eta=0.25, n_samples=50, out=str(tmp_path / "out")))
-    proc = subprocess.run(
-        [sys.executable, "-m", "geodescent", "certify", "--config", cfg, "--quiet"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
+    # python -m geodescent passes main()'s exit code through to the shell
+    for doc, code in ((quad_doc(eta=0.25, n_samples=50, out=str(tmp_path / "out")), 0),
+                      (tiny_sphere_doc(tmp_path, 1e-7), 3)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "geodescent", "certify", "--config", write_doc(tmp_path, doc), "--quiet"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 # ----------------------------------------------------------------- reporting

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import _oracles as oracles
-from _support import rand_triangle
 
 from geodescent.curvature import (
     CurvatureDomainError,
@@ -15,6 +14,7 @@ from geodescent.curvature import (
     zeta,
 )
 from geodescent.manifolds import Euclidean, FlatMetric, Hyperboloid, Sphere, exp_map, TangentVector
+from geodescent.selftest import rand_triangle
 
 
 # ------------------------------------------------------------------- zeta
@@ -100,16 +100,6 @@ def test_curvature_bounds_of_each_manifold():
 # ----------------------------------------------------------------- lemma 2
 
 
-def test_lemma2_flat_triangles_are_exact():
-    rng = np.random.default_rng(20)
-    for m in (Euclidean(3), FlatMetric([[2.0, 0.3], [0.3, 1.5]])):
-        for _ in range(200):
-            a, b, c = rand_triangle(m, rng, 2.0)
-            chk = lemma2_residual(a, b, c)
-            assert chk.delta_used == 1.0
-            assert abs(chk.residual) <= 1e-12 * chk.scale
-
-
 def test_lemma2_degenerate_vertex_flat():
     m = Euclidean(2)
     a = m.point([1.0, 1.0])
@@ -124,15 +114,6 @@ def test_lemma2_degenerate_vertex_curved_nonnegative():
     c = exp_map(a, TangentVector(a, [0.0, 0.4, 0.0]))
     chk = lemma2_residual(a, a, c)
     assert chk.residual >= 0.0
-
-
-def test_lemma2_curved_triangles_nonnegative():
-    rng = np.random.default_rng(21)
-    for m in (Sphere(2), Hyperboloid(2)):
-        for _ in range(200):
-            a, b, c = rand_triangle(m, rng, 0.4)
-            chk = lemma2_residual(a, b, c)
-            assert chk.residual >= -1e-8 * chk.scale
 
 
 def test_lemma2_hyperbolic_delta_is_one():

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 import _oracles as oracles
-from _support import base_point, catalog, rand_point, rand_tangent, tangent_cap
 
 from geodescent.manifolds import (
     Euclidean,
     FlatMetric,
     Hyperboloid,
     ManifoldError,
-    ManifoldPoint,
     Region,
     Sphere,
     TangentVector,
@@ -28,6 +26,7 @@ from geodescent.manifolds import (
     sample_point,
     tangent_basis,
 )
+from geodescent.selftest import base_point, catalog, rand_point, rand_tangent
 
 
 def e(i, n):
@@ -173,43 +172,6 @@ def test_tangent_basis_is_orthonormal():
             for j, v in enumerate(basis):
                 expected = 1.0 if i == j else 0.0
                 assert abs(inner(x, u, v) - expected) < 1e-12
-
-
-# ------------------------------------------------------------ property suites
-
-
-def test_round_trip_and_distance_consistency():
-    rng = np.random.default_rng(7)
-    for m in catalog():
-        for _ in range(200):
-            x = rand_point(m, rng, 1.0)
-            v = rand_tangent(x, rng, tangent_cap(m) * max(rng.random(), 1e-3))
-            y = exp_map(x, v)
-            back = log_map(x, y)
-            assert np.linalg.norm(back.coords - v.coords) <= 1e-9 * max(1.0, v.norm())
-            assert abs(dist(x, y) - v.norm()) <= 1e-10 * max(1.0, v.norm())
-
-
-def test_transport_isometry_and_inverse():
-    rng = np.random.default_rng(8)
-    for m in catalog():
-        for _ in range(200):
-            x, y = rand_point(m, rng, 1.0), rand_point(m, rng, 1.0)
-            if m.kind == "sphere" and dist(x, y) > math.pi - 1e-3:
-                continue
-            v = rand_tangent(x, rng, 0.5 + rng.random())
-            moved = parallel_transport(x, y, v)
-            assert abs(moved.norm() - v.norm()) <= 1e-10 * max(1.0, v.norm())
-            back = parallel_transport(y, x, moved)
-            assert np.linalg.norm(back.coords - v.coords) <= 1e-9 * max(1.0, v.norm())
-
-
-def test_triangle_inequality():
-    rng = np.random.default_rng(9)
-    for m in catalog():
-        for _ in range(200):
-            x, y, z = (rand_point(m, rng, 1.0) for _ in range(3))
-            assert dist(x, z) <= dist(x, y) + dist(y, z) + 1e-10
 
 
 # ------------------------------------------------------- independent oracles

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import _oracles as oracles
-from _support import rand_tangent
 
 from geodescent.manifolds import (
     Euclidean,
@@ -30,18 +29,9 @@ from geodescent.objectives import (
     rayleigh_sphere,
     sqdist_hyperboloid,
 )
+from geodescent.selftest import objective_zoo, rand_tangent
 
 Q14 = np.diag([1.0, 4.0])
-
-
-def zoo():
-    return [
-        quad_euclidean(Q14, [0.0, 0.0]),
-        quad_flat_metric(Q14, [0.0, 0.0], [[2.0, 0.3], [0.3, 1.5]]),
-        rayleigh_sphere(np.diag([3.0, 2.5, 1.0])),
-        sqdist_hyperboloid([0.3, -0.2, math.sqrt(1.13)]),
-        perturbed_quad(Q14, [0.0, 0.0]),
-    ]
 
 
 # ------------------------------------------------------------------- values
@@ -86,7 +76,7 @@ def test_flat_metric_gradient_example():
 
 
 def test_gradient_vanishes_at_minimizer():
-    for obj in zoo():
+    for obj in objective_zoo():
         assert obj.gradient(obj.metadata.minimizer).norm() <= 1e-8
 
 
@@ -101,7 +91,7 @@ def test_sqdist_gradient_norm_equals_distance():
 
 def test_fd_oracle_agrees_with_analytic_gradients():
     rng = np.random.default_rng(32)
-    for obj in zoo():
+    for obj in objective_zoo():
         star = obj.metadata.minimizer
         for _ in range(100):
             x = exp_map(star, rand_tangent(star, rng, 0.4 * max(rng.random(), 0.1)))
@@ -112,7 +102,7 @@ def test_fd_oracle_agrees_with_analytic_gradients():
 
 
 def test_fd_oracle_near_zero_at_minimizer():
-    for obj in zoo():
+    for obj in objective_zoo():
         assert fd_gradient_oracle(obj, obj.metadata.minimizer).norm() <= 1e-6
 
 

@@ -1,14 +1,19 @@
-"""The built-in invariant suite: clean pass plus fault injection.
+"""The invariant checks: selftest's clean pass, the checks at full scale, and fault injection.
 
-The mutation tests patch a geometry or curvature primitive and assert that
-the suite actually notices, so a silent regression in selftest itself would
-show up here.
+The checks in `geodescent.selftest` are the battery's property tests too:
+`run_selftest` runs them at N = 100 samples, the parametrized test below at
+the scale the battery needs (AC04-AC06 call theirs in test_acceptance.py).
+The fault table patches a primitive and asserts the exact set of checks that
+notice, so a check that always passes would show up here.
 """
+
+import pytest
 
 import geodescent.curvature as curvature
 import geodescent.manifolds as manifolds
 from geodescent.cli import main
 from geodescent.manifolds import TangentVector
+from geodescent.objectives import Objective
 from geodescent.selftest import CHECKS, run_selftest
 
 EXPECTED = {
@@ -28,6 +33,19 @@ EXPECTED = {
     "determinism",
 }
 
+# samples per manifold / objective / draw; never below the selftest's N
+FULL_SCALE = {
+    "geometry-round-trip": 200,
+    "geometry-distance-consistency": 200,
+    "geometry-transport": 200,
+    "geometry-triangle-inequality": 200,
+    "lemma2-flat-exactness": 200,
+    "lemma2-curved-bound": 200,
+    "objective-gradients": 100,
+    "preconditioned-routes": 100,
+    "determinism": 128,
+}
+
 
 def collect(quiet=False):
     lines = []
@@ -38,6 +56,11 @@ def collect(quiet=False):
 def test_check_catalog():
     assert {name for name, _ in CHECKS} == EXPECTED
     assert len(CHECKS) == 14
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SCALE))
+def test_check_at_full_scale(name):
+    assert dict(CHECKS)[name](FULL_SCALE[name]) is None
 
 
 def test_selftest_passes_clean():
@@ -56,28 +79,37 @@ def test_selftest_quiet_emits_only_summary():
     assert lines[0].startswith("selftest: 14/14")
 
 
-def test_selftest_catches_wrong_curvature_constant(monkeypatch):
-    monkeypatch.setattr(curvature, "delta_bar", lambda k_max, d: 0.5)
-    ret, lines = collect(quiet=True)
-    assert ret == 1
-    fails = [ln for ln in lines if ln.startswith("FAIL ")]
-    assert len(fails) == 1
-    assert fails[0].startswith("FAIL curvature-reference-values:")
-    assert "13/14" in lines[-1]
+def _stretched(real):
+    # the same tangent vector, 0.1% longer
+    def faulty(*args):
+        out = real(*args)
+        return TangentVector(out.base, 1.001 * out.coords)
+    return faulty
 
 
-def test_selftest_catches_exp_map_overshoot(monkeypatch):
-    orig = manifolds.exp_map
+# fault -> (owner, attribute, faulty replacement of the real one, exactly the checks that fail)
+FAULTS = {
+    "wrong-curvature-constant": (
+        curvature, "delta_bar", lambda real: (lambda k_max, d: 0.5), {"curvature-reference-values"},
+    ),
+    "exp-map-overshoot": (
+        manifolds, "exp_map", lambda real: (lambda x, v: real(x, TangentVector(x, 1.001 * v.coords))),
+        {"geometry-round-trip", "geometry-distance-consistency"},
+    ),
+    "transport-stretch": (manifolds, "parallel_transport", _stretched, {"geometry-transport"}),
+    "gradient-stretch": (Objective, "gradient", _stretched, {"objective-gradients"}),
+}
 
-    def overshoot(x, v):
-        return orig(x, TangentVector(x, 1.001 * v.coords))
 
-    monkeypatch.setattr(manifolds, "exp_map", overshoot)
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_selftest_catches_fault(monkeypatch, fault):
+    owner, attr, make, expected = FAULTS[fault]
+    monkeypatch.setattr(owner, attr, make(getattr(owner, attr)))
     ret, lines = collect(quiet=True)
     assert ret == 1
     failed = {ln.split()[1].rstrip(":") for ln in lines if ln.startswith("FAIL ")}
-    assert failed == {"geometry-round-trip", "geometry-distance-consistency"}
-    assert "12/14" in lines[-1]
+    assert failed == expected
+    assert f"{14 - len(expected)}/14" in lines[-1]
 
 
 def test_cli_selftest_subcommand(capsys):
