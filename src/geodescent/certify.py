@@ -31,11 +31,11 @@ from .manifolds import (
     TangentVector,
     _as_spd_matrix,
     _checked_point,
+    _draw_coords,
     dist,
     exp_map,
     inner,
     log_map,
-    sample_point,
 )
 from .objectives import PAIR_SEPARATION, Objective, estimate_gamma
 
@@ -57,7 +57,7 @@ __all__ = [
     "translate_constants",
 ]
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 
 DEFAULT_TOL_RESIDUAL = 1e-9
 GAMMA_PAIRS = 256
@@ -67,13 +67,18 @@ CONSISTENCY_SLACK = 1e-12
 MIN_C_OBS = 1e-10
 # gradient-norm threshold flagging a possible second critical point
 CRITICAL_POINT_GRAD_TOL = 1e-6
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-# decorrelates the smoothness-estimation stream from the per-sample streams
-_GAMMA_STREAM = 0x9E3779B97F4A7C15
 
 
 class CertificationError(ValueError):
     """Invalid certification inputs (bad ranges, mismatched region, missing constants)."""
+
+
+def _streams(seed) -> list:
+    """The seed policy, the one source of every draw made for a seed: generators for
+    sample directions, sample radii and gamma point pairs, from SeedSequence(seed).spawn(3)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise CertificationError(f"seed must be a nonnegative integer, got {seed!r}")
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(int(seed)).spawn(3)]
 
 
 def _require_positive(name: str, value) -> float:
@@ -185,9 +190,9 @@ def consistency_check(a: float, mu: float, eta: float, c: float, *, theorem_para
 def resolve_gamma(obj: Objective, region: Region, seed: int, override: Optional[float] = None):
     """Smoothness constant with provenance: override > analytic > sampled estimate.
 
-    The estimate uses GAMMA_PAIRS point pairs drawn from its own RNG stream
-    (decorrelated from the sample streams), so it is reproducible for a given
-    seed regardless of sample count. Radius r < 2s (s = PAIR_SEPARATION) raises
+    The estimate uses GAMMA_PAIRS point pairs drawn from the seed's gamma stream,
+    independent of the sample streams, so it is reproducible for a given seed
+    regardless of sample count. Radius r < 2s (s = PAIR_SEPARATION) raises
     CertificationError before drawing; set gamma there. From 2s on, a ball of radius s
     holds at most (s/r)^dim <= 1/2 of a uniform draw, so a pair fails with probability <= 2^-201.
     """
@@ -200,8 +205,8 @@ def resolve_gamma(obj: Objective, region: Region, seed: int, override: Optional[
             f"region radius {region.radius:.6g} is too small to estimate gamma from point pairs "
             f"{PAIR_SEPARATION:g} apart; set gamma"
         )
-    rng = np.random.default_rng((int(seed) ^ _GAMMA_STREAM) & _MASK64)
-    est = estimate_gamma(obj, region, GAMMA_PAIRS, rng)
+    _, _, gamma_rng = _streams(seed)
+    est = estimate_gamma(obj, region, GAMMA_PAIRS, gamma_rng)
     if est <= 0.0:
         raise CertificationError("estimated smoothness constant is zero; nothing to certify against")
     return est, "estimated"
@@ -260,7 +265,6 @@ class WscCertificate:
 
 @dataclass(frozen=True)
 class _Sample:
-    index: int
     point: ManifoldPoint
     dist_to_min: float
     grad_norm: float
@@ -271,17 +275,15 @@ class _Sample:
     step_error: Optional[str]
 
 
-def _probe_sample(obj: Objective, region: Region, eta: float, seed: int, index: int) -> _Sample:
-    """Draw sample #index from its own RNG stream and take one descent step.
+def _probe_sample(obj: Objective, region: Region, eta: float, coords: np.ndarray) -> _Sample:
+    """Check the drawn point at coords and take one descent step from it.
 
-    Deterministic in (seed, index) alone, so sample i does not depend on
-    n_samples. The gradient, value, distance to x* and pull toward x* are
-    evaluated once here; the step and the residual stage reuse them. Only the
-    drawn point, its gradient and the stepped point are checked.
+    The gradient, value, distance to x* and pull toward x* are evaluated once
+    here; the step and the residual stage reuse them. Only the drawn point, its
+    gradient and the stepped point are checked.
     """
-    rng = np.random.default_rng((int(seed) ^ index) & _MASK64)
     m = obj.manifold
-    x = sample_point(region, rng)
+    x = ManifoldPoint(m, coords)
     xstar = obj.metadata.minimizer.coords
     d = m._dist(x.coords, xstar)
     g = obj.gradient(x)
@@ -302,14 +304,14 @@ def _probe_sample(obj: Objective, region: Region, eta: float, seed: int, index: 
         exited = m._dist(region.center.coords, stepped) > region.radius + REGION_EXIT_TOL
         if d > CONTRACTION_SCAN_FLOOR:
             ratio = (d_next / d) ** 2
-    return _Sample(index, x, d, g.norm(), val, pull, ratio, exited, err)
+    return _Sample(x, d, g.norm(), val, pull, ratio, exited, err)
 
 
-def _witness_dict(sample: _Sample, reason: str) -> dict:
+def _witness_dict(samples: list, index: int, reason: str) -> dict:
     return {
-        "index": sample.index,
-        "coords": [float(c) for c in sample.point.coords],
-        "dist_to_min": sample.dist_to_min,
+        "index": index,
+        "coords": [float(c) for c in samples[index].point.coords],
+        "dist_to_min": samples[index].dist_to_min,
         "reason": reason,
     }
 
@@ -349,6 +351,7 @@ def certify_region(
     if not auto_eta:
         eta = _require_positive("eta", eta)
     tol_residual = _require_positive("tol_residual", tol_residual)
+    directions, radii, _ = _streams(seed)
     seed = int(seed)
     if region.center.manifold != obj.manifold:
         raise CertificationError("region and objective live on different manifolds")
@@ -407,7 +410,7 @@ def certify_region(
             res_min=r0, res_mean=r0, res_min_scaled=r0, consistency=consistency,
         )
 
-    samples = [_probe_sample(obj, region, eta, seed, i) for i in range(n_samples)]
+    samples = [_probe_sample(obj, region, eta, c) for c in _draw_coords(region, n_samples, directions, radii)]
 
     for s in samples:
         if s.step_error is not None:
@@ -417,16 +420,15 @@ def certify_region(
         if s.grad_norm < CRITICAL_POINT_GRAD_TOL and s.dist_to_min > 1e-6:
             flags.add("critical-point-suspect")
 
-    measured = [s for s in samples if s.ratio is not None]
+    measured = [(s.ratio, i) for i, s in enumerate(samples) if s.ratio is not None]
     if not measured:
         return finish("inconclusive")
-    worst_sample = max(measured, key=lambda s: s.ratio)
-    worst = worst_sample.ratio
+    worst, worst_idx = max(measured, key=lambda p: p[0])
 
     if worst >= 1.0:
         flags.add("no-contraction")
         return finish("inconclusive", worst=worst,
-                      witness=_witness_dict(worst_sample, "no-contraction"))
+                      witness=_witness_dict(samples, worst_idx, "no-contraction"))
 
     c_obs = min(max(1.0 - worst, 0.0), 1.0)
     if c_obs < MIN_C_OBS:
@@ -458,8 +460,7 @@ def certify_region(
     else:
         verdict = "refuted"
         flags.add("negative-residual")
-        worst_idx = scaled.index(res_min_scaled)
-        witness = _witness_dict(samples[worst_idx], "negative-residual")
+        witness = _witness_dict(samples, scaled.index(res_min_scaled), "negative-residual")
 
     return finish(verdict, delta_bar_used=delta_bar_used, worst=worst, c_obs=c_obs,
                   a=a, mu=mu, res_min=res_min, res_mean=res_mean,
@@ -506,10 +507,7 @@ def preconditioned_equivalence(obj: Objective, metric, x: ManifoldPoint, eta: fl
     eta = float(eta)
     if not math.isfinite(eta) or eta < 0.0:
         raise CertificationError(f"eta must be finite and nonnegative, got {eta!r}")
-    try:
-        a_mat = _as_spd_matrix(metric, "preconditioner")
-    except ManifoldError as e:
-        raise CertificationError(str(e)) from e
+    a_mat = _as_spd_matrix(metric, "preconditioner", CertificationError)
 
     g = obj.gradient(x).coords
     explicit = x.coords - eta * np.linalg.solve(a_mat, g)
@@ -533,10 +531,7 @@ def translate_constants(metric, gamma_euclidean: float, mu_euclidean: float) -> 
     """Carry Euclidean (gamma, mu) to the flat A-metric: gamma/lambda_min(A), mu/lambda_max(A)."""
     gamma_euclidean = _require_positive("gamma_euclidean", gamma_euclidean)
     mu_euclidean = _require_positive("mu_euclidean", mu_euclidean)
-    try:
-        a_mat = _as_spd_matrix(metric, "metric matrix")
-    except ManifoldError as e:
-        raise CertificationError(str(e)) from e
+    a_mat = _as_spd_matrix(metric, "metric matrix", CertificationError)
     evals = np.linalg.eigvalsh(a_mat)
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     return TranslatedConstants(gamma_euclidean / lam_min, mu_euclidean / lam_max, lam_min, lam_max)

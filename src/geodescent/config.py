@@ -71,20 +71,17 @@ def _positive_int(value, field: str) -> int:
 
 
 def _normalize_params(params: Mapping, field: str) -> dict:
-    """JSON-ready copy of objective parameters with all numerics as floats."""
+    """JSON-ready copy of objective parameters: numbers or rectangular arrays of numbers, as floats."""
     out = {}
     for key, val in params.items():
-        if isinstance(val, (list, tuple, np.ndarray)):
-            try:
-                out[key] = np.asarray(val, dtype=float).tolist()
-            except (ValueError, TypeError) as e:
-                raise ConfigError(f"field '{field}.params.{key}' must be a rectangular numeric array: {e}") from e
-        elif isinstance(val, bool) or val is None:
-            raise ConfigError(f"field '{field}.params.{key}' must be numeric")
-        elif isinstance(val, (int, float)):
-            out[key] = float(val)
-        else:
-            raise ConfigError(f"field '{field}.params.{key}' has unsupported type {type(val).__name__}")
+        where = f"field '{field}.params.{key}'"
+        try:
+            out[key] = np.asarray(val, dtype=float).tolist()
+        except (ValueError, TypeError, OverflowError) as e:
+            raise ConfigError(f"{where} must be a number or a rectangular numeric array: {e}") from e
+        for v in np.asarray(val, dtype=object).flat:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"{where} must hold only numbers, got {v!r}")
     return out
 
 

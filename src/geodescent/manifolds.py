@@ -65,18 +65,25 @@ def _as_vector(values, what: str) -> np.ndarray:
     return arr
 
 
-def _as_spd_matrix(values, what: str) -> np.ndarray:
+def _symmetric_matrix(values, what: str, error: type[Exception]) -> np.ndarray:
+    """Read-only float copy of a square, finite matrix symmetric to 1e-12 relative; raises error otherwise."""
     mat = np.array(values, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ManifoldError(f"{what} must be a square matrix, got shape {mat.shape}")
+        raise error(f"{what} must be a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
-        raise ManifoldError(f"{what} must be finite")
+        raise error(f"{what} must be finite")
     scale = max(1.0, float(np.max(np.abs(mat))))
     if float(np.max(np.abs(mat - mat.T))) > 1e-12 * scale:
-        raise ManifoldError(f"{what} must be symmetric to 1e-12 relative tolerance")
+        raise error(f"{what} must be symmetric to 1e-12 relative tolerance")
+    mat.setflags(write=False)
+    return mat
+
+
+def _as_spd_matrix(values, what: str, error: type[Exception] = ManifoldError) -> np.ndarray:
+    mat = _symmetric_matrix(values, what, error)
     evals = np.linalg.eigvalsh(mat)
     if evals[0] <= 0.0:
-        raise ManifoldError(f"{what} must be positive definite (min eigenvalue {evals[0]:.3e})")
+        raise error(f"{what} must be positive definite (min eigenvalue {evals[0]:.3e})")
     return mat
 
 
@@ -220,7 +227,6 @@ class FlatMetric(Euclidean):
     def __init__(self, metric):
         mat = _as_spd_matrix(metric, "metric matrix")
         super().__init__(mat.shape[0])
-        mat.setflags(write=False)
         self._metric = mat
         self._chol = np.linalg.cholesky(mat)
 
@@ -575,26 +581,37 @@ def tangent_basis(x: ManifoldPoint) -> tuple[TangentVector, ...]:
     return tuple(TangentVector(x, b) for b in x.manifold._tangent_basis(x.coords))
 
 
-def sample_point(region: Region, rng: np.random.Generator) -> ManifoldPoint:
-    """Draw one point of the region: a normalized, tangent-projected Gaussian
-    direction at the center (uniform only where that projection is metric-isotropic:
-    not under a FlatMetric other than c * I, nor on the hyperboloid off its apex)
-    pushed to geodesic radius R * u^(1/dim), u uniform on (0, 1].
+def _draw_coords(region: Region, n: int, directions: np.random.Generator,
+                 radii: np.random.Generator) -> np.ndarray:
+    """Coordinates of n points of the region, one row each; row i never depends on n.
 
-    Deterministic given the generator state; a radius-0 region returns its center.
-    """
+    Row i: the i-th Gaussian row of `directions` whose tangent projection at the center
+    has norm >= 1e-12 (shorter ones, a measure-zero event, are skipped), normalized and
+    pushed to geodesic radius R * u^(1/dim), u = 1 - the i-th draw of `radii`.
+    A radius-0 region gives n copies of its center and draws nothing."""
     m = region.center.manifold
+    c = region.center.coords
+    if region.radius == 0.0:
+        return np.tile(c, (n, 1))
+    dirs = []
+    while len(dirs) < n:
+        for w in directions.standard_normal((n - len(dirs), m.ambient_dim)):
+            t = m._project(c, w)
+            nrm = math.sqrt(max(m._inner(c, t, t), 0.0))
+            if nrm >= 1e-12:
+                dirs.append((t, nrm))
+    radius = [region.radius * u ** (1.0 / m.dim) for u in (1.0 - radii.random(n)).tolist()]
+    return np.array([m._exp(c, (r / nrm) * t) for (t, nrm), r in zip(dirs, radius)])
+
+
+def sample_point(region: Region, rng: np.random.Generator) -> ManifoldPoint:
+    """One point of the region: the certifier's draw (_draw_coords) at n = 1, with rng
+    as both its direction and radius stream. The direction is uniform only where the
+    tangent projection is metric-isotropic (not under a FlatMetric other than c * I,
+    nor on the hyperboloid off its apex). A radius-0 region returns its center."""
     if region.radius == 0.0:
         return region.center
-    c = region.center.coords
-    t = m._project(c, rng.standard_normal(m.ambient_dim))
-    nrm = math.sqrt(max(m._inner(c, t, t), 0.0))
-    while nrm < 1e-12:  # measure-zero redraw, keeps the direction well defined
-        t = m._project(c, rng.standard_normal(m.ambient_dim))
-        nrm = math.sqrt(max(m._inner(c, t, t), 0.0))
-    u = 1.0 - rng.random()
-    r = region.radius * u ** (1.0 / m.dim)
-    return ManifoldPoint(m, m._exp(c, (r / nrm) * t))
+    return ManifoldPoint(region.center.manifold, _draw_coords(region, 1, rng, rng)[0])
 
 
 def manifold_from_descriptor(desc: dict) -> Manifold:

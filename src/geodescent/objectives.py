@@ -24,6 +24,7 @@ from .manifolds import (
     Region,
     Sphere,
     TangentVector,
+    _symmetric_matrix,
     exp_map,
     sample_point,
     tangent_basis,
@@ -92,19 +93,6 @@ class Objective:
             raise ObjectiveError(f"point is not on the manifold of objective '{self.id}'")
 
 
-def _symmetric_matrix(values, what: str) -> np.ndarray:
-    mat = np.array(values, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ObjectiveError(f"{what} must be a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ObjectiveError(f"{what} must be finite")
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if float(np.max(np.abs(mat - mat.T))) > 1e-12 * scale:
-        raise ObjectiveError(f"{what} must be symmetric to 1e-12 relative tolerance")
-    mat.setflags(write=False)
-    return mat
-
-
 def _assert_critical(obj: Objective) -> None:
     g = obj.gradient(obj.metadata.minimizer)
     if g.norm() > GRADIENT_NORM_AT_MIN:
@@ -115,7 +103,7 @@ def _assert_critical(obj: Objective) -> None:
 
 
 def _psd_quad(q, what: str) -> tuple[np.ndarray, np.ndarray]:
-    mat = _symmetric_matrix(q, what)
+    mat = _symmetric_matrix(q, what, ObjectiveError)
     evals = np.linalg.eigvalsh(mat)
     if evals[0] < -1e-12:
         raise ObjectiveError(f"{what} must be positive semidefinite (min eigenvalue {evals[0]:.3e})")
@@ -205,7 +193,7 @@ def rayleigh_sphere(matrix) -> Objective:
     estimate one on the region of interest. Certified regions here always have
     radius below pi/4, which keeps the antipodal copy of the minimizer outside.
     """
-    mat = _symmetric_matrix(matrix, "rayleigh matrix")
+    mat = _symmetric_matrix(matrix, "rayleigh matrix", ObjectiveError)
     n_amb = mat.shape[0]
     if n_amb < 2:
         raise ObjectiveError("rayleigh matrix must be at least 2x2")

@@ -1,9 +1,14 @@
 """Certifier: residuals, converse formulas, certificates, and the equivalences."""
 
+import json
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodescent.certify import (
     GAMMA_PAIRS,
@@ -20,6 +25,8 @@ from geodescent.certify import (
     wsc_residual,
 )
 from geodescent import manifolds
+from geodescent.cli import main
+from geodescent.config import parse_config
 from geodescent.descent import StepSizePolicy, rgd_step, run
 from geodescent.manifolds import Euclidean, Hyperboloid, ManifoldPoint, Region, TangentVector, dist, sample_point
 from geodescent.objectives import (
@@ -308,6 +315,8 @@ def test_certify_input_validation():
         certify_region(obj, region, -0.25, 10)
     with pytest.raises(CertificationError):
         certify_region(obj, region, 0.25, 10, tol_residual=0.0)
+    with pytest.raises(CertificationError):
+        certify_region(obj, region, 0.25, 10, seed=-1)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -358,6 +367,92 @@ def test_pipelines_validate_each_point_and_gradient_once(monkeypatch, kind):
     traj = run(obj, x0, StepSizePolicy(mode="fixed", eta=0.1), 20, region=region)
     assert traj.stop_reason == "completed"
     assert (len(points), len(tangents)) == (20, 21)
+
+
+@contextmanager
+def recorded_points():
+    """Coordinates of every ManifoldPoint built inside the block, in order."""
+    drawn = []
+    real = ManifoldPoint.__post_init__
+
+    def recording(self):
+        real(self)
+        drawn.append(self.coords)
+
+    with mock.patch.object(ManifoldPoint, "__post_init__", recording):
+        yield drawn
+
+
+def test_different_seeds_draw_disjoint_point_sets():
+    obj = quad()
+    region = Region(obj.metadata.minimizer, 10.0)
+    point_sets = []
+    for seed in range(4):
+        with recorded_points() as drawn:
+            certify_region(obj, region, 0.25, 1000, seed=seed)
+        assert len(drawn) == 1000
+        point_sets.append({c.tobytes() for c in drawn})
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert not point_sets[i] & point_sets[j], (i, j)
+
+
+@pytest.mark.parametrize("eta, make", [(0.25, quad), ("auto", lambda: rayleigh_sphere(np.diag([3.0, 2.5, 1.0])))],
+                         ids=["analytic-gamma", "estimated-gamma"])
+def test_certificate_builds_a_constant_number_of_generators(monkeypatch, eta, make):
+    obj = make()
+    region = Region(obj.metadata.minimizer, 0.5)
+    built = count_calls(monkeypatch, np.random, "default_rng")
+    counts = []
+    for n in (10, 1000):
+        built.clear()
+        certify_region(obj, region, eta, n, seed=5)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(FOUR_GEOMETRIES)), seed=st.integers(0, 2**64 - 1),
+       n=st.integers(1, 40), data=st.data())
+def test_first_samples_do_not_depend_on_the_sample_count(kind, seed, n, data):
+    k = data.draw(st.integers(1, n))
+    make, radius, gamma = FOUR_GEOMETRIES[kind]
+    obj = make()
+    region = Region(obj.metadata.minimizer, radius)
+    runs = []
+    for count in (n, k):
+        with recorded_points() as drawn:
+            certify_region(obj, region, "auto", count, seed=seed, gamma_override=gamma)
+        assert len(drawn) == count
+        runs.append(np.array(drawn))
+    assert np.array_equal(runs[0][:k], runs[1])
+
+
+Q14_PARAMS = {"q": [[1, 0], [0, 4]], "minimizer": [0, 0]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"manifold": {"kind": "euclidean", "dim": 2}, "region": {"radius": 10.0}, "seed": 3,
+     "objective": {"id": "quad_euclidean", "params": Q14_PARAMS}},
+    {"manifold": {"kind": "euclidean", "dim": 2}, "region": {"radius": 10.0}, "seed": 2**64 - 1, "eta": 0.1,
+     "objective": {"id": "quad_euclidean", "params": Q14_PARAMS}},
+    {"manifold": {"kind": "sphere", "dim": 2}, "region": {"radius": 0.5}, "gamma": 2.1, "seed": 11,
+     "objective": {"id": "rayleigh_sphere", "params": {"matrix": [[3, 0, 0], [0, 2.5, 0], [0, 0, 1]]}}},
+    {"manifold": {"kind": "hyperboloid", "dim": 2}, "region": {"radius": 2.0}, "seed": 0,
+     "objective": {"id": "sqdist_hyperboloid", "params": {"target": [0.0, 0.0, 1.0]}}},
+])
+def test_cli_run_starts_at_certify_sample_zero(tmp_path, capsys, doc):
+    doc = dict(doc, n_steps=2, out=str(tmp_path / "run"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--quiet"]) == 0
+    with open(tmp_path / "run" / "trajectory.json", encoding="utf-8") as fh:
+        start = json.load(fh)["steps"][0]["coords"]
+    cfg = parse_config(doc)
+    with recorded_points() as drawn:
+        certify_region(cfg.objective, cfg.region, cfg.eta, 3, cfg.seed, gamma_override=cfg.gamma)
+    assert len(drawn) == 3
+    assert np.array_equal(drawn[0], start)
 
 
 def test_certify_auto_eta_applies_the_auto_policy():
@@ -427,7 +522,7 @@ def test_certificate_json_shape():
     obj = quad()
     cert = certify_region(obj, Region(obj.metadata.minimizer, 10.0), 0.25, 64, seed=2)
     doc = cert.to_json_dict()
-    assert doc["version"] == "0.1.0"
+    assert doc["version"] == "0.2.0"
     assert doc["verdict"] == "certified"
     assert doc["manifold"] == {"kind": "euclidean", "dim": 2}
     assert isinstance(doc["flags"], list)

@@ -106,6 +106,18 @@ def test_parse_applies_overrides_and_ignores_none():
                                                                 "epsilon": [0.1]}}), "epsilon must be a real scalar"),
         (quad_doc(objective={"id": "perturbed_quad", "params": {"q": [[1, 0], [0, 4]], "minimizer": [0, 0],
                                                                 "omega": [1, 2]}}), "omega must be a real scalar"),
+        (quad_doc(objective={"id": "quad_euclidean", "params": {"q": [["1", 0], [0, "4"]], "minimizer": [0, 0]}}),
+         "objective.params.q"),
+        (quad_doc(objective={"id": "quad_euclidean", "params": {"q": [[True, 0], [0, 4]], "minimizer": [0, 0]}}),
+         "objective.params.q"),
+        (quad_doc(objective={"id": "quad_euclidean", "params": {"q": [[1, 0], [0, 4]], "minimizer": [0, "0"]}}),
+         "objective.params.minimizer"),
+        (quad_doc(objective={"id": "quad_euclidean", "params": {"q": [[None, 0], [0, 4]], "minimizer": [0, 0]}}),
+         "objective.params.q"),
+        (quad_doc(objective={"id": "quad_euclidean", "params": {"q": [[1, 0], [0, 4]], "minimizer": [0, 10**400]}}),
+         "objective.params.minimizer"),
+        (quad_doc(objective={"id": "perturbed_quad", "params": {"q": [[1, 0], [0, 4]], "minimizer": [0, 0],
+                                                                "epsilon": 10**400}}), "objective.params.epsilon"),
     ],
 )
 def test_parse_rejects_bad_documents(doc, needle):
@@ -364,7 +376,7 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
-    assert "geodescent 0.1.0" in capsys.readouterr().out
+    assert "geodescent 0.2.0" in capsys.readouterr().out
 
 
 def test_cli_module_entry_point(tmp_path):
