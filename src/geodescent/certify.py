@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import curvature
-from .descent import CONTRACTION_SCAN_FLOOR, REGION_EXIT_TOL, StepSizeError, _step_along, auto_step_policy
+from .descent import CONTRACTION_SCAN_FLOOR, REGION_EXIT_TOL, auto_step_policy
 from .manifolds import (
     FlatMetric,
     Hyperboloid,
@@ -30,8 +30,8 @@ from .manifolds import (
     Region,
     TangentVector,
     _as_spd_matrix,
-    _checked_point,
     _draw_coords,
+    _require_rows,
     dist,
     exp_map,
     inner,
@@ -67,6 +67,12 @@ CONSISTENCY_SLACK = 1e-12
 MIN_C_OBS = 1e-10
 # gradient-norm threshold flagging a possible second critical point
 CRITICAL_POINT_GRAD_TOL = 1e-6
+# ... at a sample farther than this from the declared minimizer
+CRITICAL_POINT_DIST_TOL = 1e-6
+# largest distance between a region's centre and the declared minimizer
+CENTER_AT_MINIMIZER_TOL = 1e-9
+# roundoff allowed when eta is checked against the 2/gamma cap on positive curvature
+STEP_CAP_SLACK = 1e-15
 
 
 class CertificationError(ValueError):
@@ -88,17 +94,6 @@ def _require_positive(name: str, value) -> float:
     return value
 
 
-def _pairwise_sum(values: list) -> float:
-    """Summation in a fixed pairwise tree; residual_mean is defined by this order."""
-    n = len(values)
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return float(values[0])
-    half = n // 2
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-
-
 def wsc_residual(obj: Objective, x: ManifoldPoint, a: float, mu: float) -> float:
     """Residual of f(x) - f(x*) <= (1/a)<grad f(x), -log_x(x*)> - (mu/2) dist^2(x, x*).
 
@@ -111,12 +106,14 @@ def wsc_residual(obj: Objective, x: ManifoldPoint, a: float, mu: float) -> float
     return _residual(ip, dist(x, xstar), obj.value(x), obj.value(xstar), a, mu)
 
 
-def _pull(m: Manifold, x: np.ndarray, g: np.ndarray, xstar: np.ndarray) -> float:
-    """<grad f(x), -log_x(x*)> on coordinates; raises ManifoldError where the log does."""
+def _pull(m: Manifold, x: np.ndarray, g: np.ndarray, xstar: np.ndarray) -> float | np.ndarray:
+    """<grad f(x), -log_x(x*)> on coordinates, or per row of x and g; raises ManifoldError
+    where the log does."""
     return m._inner(x, g, -m._log(x, xstar))
 
 
-def _residual(ip: float, d: float, value: float, fstar: float, a: float, mu: float) -> float:
+def _residual(ip, d, value, fstar: float, a: float, mu: float):
+    """The wsc residual from its parts, for one sample or elementwise over arrays."""
     return ip / a - 0.5 * mu * d * d - (value - fstar)
 
 
@@ -263,55 +260,11 @@ class WscCertificate:
         }
 
 
-@dataclass(frozen=True)
-class _Sample:
-    point: ManifoldPoint
-    dist_to_min: float
-    grad_norm: float
-    value: float
-    pull: Optional[float]  # <grad f(x), -log_x(x*)>; None where the logarithm raised
-    ratio: Optional[float]
-    exited: bool
-    step_error: Optional[str]
-
-
-def _probe_sample(obj: Objective, region: Region, eta: float, coords: np.ndarray) -> _Sample:
-    """Check the drawn point at coords and take one descent step from it.
-
-    The gradient, value, distance to x* and pull toward x* are evaluated once
-    here; the step and the residual stage reuse them. Only the drawn point, its
-    gradient and the stepped point are checked.
-    """
-    m = obj.manifold
-    x = ManifoldPoint(m, coords)
-    xstar = obj.metadata.minimizer.coords
-    d = m._dist(x.coords, xstar)
-    g = obj.gradient(x)
-    val = obj.value(x)
-    try:
-        pull = _pull(m, x.coords, g.coords, xstar)
-    except ManifoldError:
-        pull = None
-    ratio = None
-    exited = False
-    err = None
-    try:
-        stepped = _checked_point(m, _step_along(m, x.coords, g, eta))
-    except (ManifoldError, StepSizeError) as e:
-        err = str(e)
-    else:
-        d_next = m._dist(stepped, xstar)
-        exited = m._dist(region.center.coords, stepped) > region.radius + REGION_EXIT_TOL
-        if d > CONTRACTION_SCAN_FLOOR:
-            ratio = (d_next / d) ** 2
-    return _Sample(x, d, g.norm(), val, pull, ratio, exited, err)
-
-
-def _witness_dict(samples: list, index: int, reason: str) -> dict:
+def _witness_dict(coords: np.ndarray, dist_to_min: np.ndarray, index: int, reason: str) -> dict:
     return {
         "index": index,
-        "coords": [float(c) for c in samples[index].point.coords],
-        "dist_to_min": samples[index].dist_to_min,
+        "coords": [float(c) for c in coords[index]],
+        "dist_to_min": float(dist_to_min[index]),
         "reason": reason,
     }
 
@@ -338,10 +291,12 @@ def certify_region(
     (contraction hypothesis failed, constants degenerate, or steps errored).
 
     eta = "auto" applies descent.auto_step_policy with the gamma resolved
-    here. workers is validated and never changes the result: samples are
-    probed in index order on the calling thread.
+    here. workers is validated and never changes the result: all samples are
+    probed at once, as the rows of one array, on the calling thread.
 
-    Step and log errors during probing become flags, never exceptions.
+    A drawn point or gradient that fails its check raises; step and log errors
+    during probing become flags, never exceptions. residual_mean is the
+    exactly rounded mean (math.fsum), so it depends on no summation order.
     """
     if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 1:
         raise CertificationError(f"n_samples must be a positive integer, got {n_samples!r}")
@@ -356,7 +311,7 @@ def certify_region(
     if region.center.manifold != obj.manifold:
         raise CertificationError("region and objective live on different manifolds")
     xstar = obj.metadata.minimizer
-    if dist(region.center, xstar) > 1e-9:
+    if dist(region.center, xstar) > CENTER_AT_MINIMIZER_TOL:
         raise CertificationError("region must be centered at the declared minimizer")
     if isinstance(obj.manifold, Hyperboloid):
         reach = math.acosh(max(float(region.center.coords[-1]), 1.0)) + region.radius
@@ -371,7 +326,7 @@ def certify_region(
     gamma_used, gamma_source = resolve_gamma(obj, region, seed, gamma_override)
     if auto_eta:
         eta = auto_step_policy(obj, region, gamma_used).resolve()
-    if k_max > 0.0 and eta > 2.0 / gamma_used + 1e-15:
+    if k_max > 0.0 and eta > 2.0 / gamma_used + STEP_CAP_SLACK:
         raise CertificationError(
             f"eta = {eta:.6g} exceeds the 2/gamma = {2.0 / gamma_used:.6g} cap required "
             "on positively curved manifolds"
@@ -410,25 +365,47 @@ def certify_region(
             res_min=r0, res_mean=r0, res_min_scaled=r0, consistency=consistency,
         )
 
-    samples = [_probe_sample(obj, region, eta, c) for c in _draw_coords(region, n_samples, directions, radii)]
+    # probe stage, one row per sample: the drawn rows and their gradients are
+    # checked once and raise; a stepped row that fails its check (the NaN rows
+    # of a refused exp step included) becomes a step-error sample
+    m = obj.manifold
+    x = _draw_coords(region, n_samples, directions, radii)
+    _require_rows(m, x)
+    g = np.asarray(obj.gradient_fn(x), dtype=float)
+    _require_rows(m, x, g)
+    value = np.asarray(obj.value_fn(x), dtype=float)
+    if value.shape != (n_samples,):
+        raise CertificationError(f"value_fn returned shape {value.shape} for {n_samples} rows")
+    d = m._dist(x, xstar.coords)
+    grad_norm = np.sqrt(np.maximum(m._inner(x, g, g), 0.0))
+    try:
+        pull = _pull(m, x, g, xstar.coords)
+    except ManifoldError:
+        pull = None
+    stepped = m._exp(x, -eta * g)
+    stepped_ok = m._points_ok(stepped)
+    measured = stepped_ok & (d > CONTRACTION_SCAN_FLOOR)
+    # rows that failed their check may be NaN or huge; only masked use is made of them
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        exited = stepped_ok & (m._dist(region.center.coords, stepped) > region.radius + REGION_EXIT_TOL)
+        ratio = np.where(measured, (m._dist(stepped, xstar.coords) / d) ** 2, -np.inf)
 
-    for s in samples:
-        if s.step_error is not None:
-            flags.add("step-error")
-        if s.exited:
-            flags.add("step-exits-region")
-        if s.grad_norm < CRITICAL_POINT_GRAD_TOL and s.dist_to_min > 1e-6:
-            flags.add("critical-point-suspect")
+    if not stepped_ok.all():
+        flags.add("step-error")
+    if exited.any():
+        flags.add("step-exits-region")
+    if np.any((grad_norm < CRITICAL_POINT_GRAD_TOL) & (d > CRITICAL_POINT_DIST_TOL)):
+        flags.add("critical-point-suspect")
 
-    measured = [(s.ratio, i) for i, s in enumerate(samples) if s.ratio is not None]
-    if not measured:
+    if not measured.any():
         return finish("inconclusive")
-    worst, worst_idx = max(measured, key=lambda p: p[0])
+    worst_idx = int(np.argmax(ratio))
+    worst = float(ratio[worst_idx])
 
     if worst >= 1.0:
         flags.add("no-contraction")
         return finish("inconclusive", worst=worst,
-                      witness=_witness_dict(samples, worst_idx, "no-contraction"))
+                      witness=_witness_dict(x, d, worst_idx, "no-contraction"))
 
     c_obs = min(max(1.0 - worst, 0.0), 1.0)
     if c_obs < MIN_C_OBS:
@@ -442,17 +419,18 @@ def certify_region(
     if not consistency.ok:
         flags.add("consistency-violation")
 
-    if any(s.pull is None for s in samples):
+    if pull is None:
         flags.add("step-error")
         return finish("inconclusive", delta_bar_used=delta_bar_used, worst=worst,
                       c_obs=c_obs, a=a, mu=mu, consistency=consistency)
-    residuals = [_residual(s.pull, s.dist_to_min, s.value, fstar, a, mu) for s in samples]
-    scaled = [r / max(1.0, abs(s.value - fstar), s.dist_to_min ** 2)
-              for r, s in zip(residuals, samples)]
+    # residual stage, one pass over the rows
+    residuals = _residual(pull, d, value, fstar, a, mu)
+    scaled = residuals / np.maximum(np.maximum(1.0, np.abs(value - fstar)), d ** 2)
+    min_idx = int(np.argmin(scaled))
 
-    res_min = min(residuals)
-    res_mean = _pairwise_sum(residuals) / len(residuals)
-    res_min_scaled = min(scaled)
+    res_min = float(residuals.min())
+    res_mean = math.fsum(residuals.tolist()) / n_samples
+    res_min_scaled = float(scaled[min_idx])
 
     if res_min_scaled >= -tol_residual:
         verdict = "certified"
@@ -460,7 +438,7 @@ def certify_region(
     else:
         verdict = "refuted"
         flags.add("negative-residual")
-        witness = _witness_dict(samples, scaled.index(res_min_scaled), "negative-residual")
+        witness = _witness_dict(x, d, min_idx, "negative-residual")
 
     return finish(verdict, delta_bar_used=delta_bar_used, worst=worst, c_obs=c_obs,
                   a=a, mu=mu, res_min=res_min, res_mean=res_mean,

@@ -94,6 +94,41 @@ def _mink(u: np.ndarray, v: np.ndarray) -> float:
         return float(u[:-1] @ v[:-1] - u[-1] * v[-1])
 
 
+# Row helpers. A kernel method given an (n, ambient) array works row by row;
+# a 1-d argument next to it is one point or vector shared by every row. The
+# products are stacked matmuls, one BLAS dot or matrix-vector call per row:
+# the call the 1-d code makes, so a row's product equals the 1-d one and
+# never depends on n. A single BLAS product over the whole block could sum in
+# an order that depends on the number of rows.
+
+
+def _rdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise u_i @ v_i."""
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+
+
+def _rvecmat(u: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Rows u_i @ mat."""
+    return np.matmul(u[..., None, :], mat)[..., 0, :]
+
+
+def _rmatvec(mat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rows mat @ u_i."""
+    return np.matmul(mat, u[..., :, None])[..., 0]
+
+
+def _rmink(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise Minkowski form; callers that may overflow silence the warning."""
+    return _rdot(u[..., :-1], v[..., :-1]) - u[..., -1] * v[..., -1]
+
+
+def _log_rows(d: np.ndarray, nw: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows (d / nw) * w of a logarithm, zero where d or nw is below _DEGENERATE."""
+    keep = (d >= _DEGENERATE) & (nw >= _DEGENERATE)
+    scale = np.divide(d, nw, out=np.zeros_like(d), where=keep)
+    return np.where(keep[:, None], scale[:, None] * w, 0.0)
+
+
 class Manifold:
     """Base class holding the raw-array geometry kernel for one space."""
 
@@ -133,11 +168,25 @@ class Manifold:
         return f"{type(self).__name__}(dim={self.dim})"
 
     # -- kernel methods on raw coordinate arrays -------------------------
+    #
+    # _inner, _dist, _exp, _log and _project also take (n, ambient) rows,
+    # chosen by ndim, and return one result per row (see the row helpers).
+    # Where the 1-d code raises for a step (_exp), the row code returns a NaN
+    # row instead, which the row point check rejects; _log raises if any row
+    # is undefined.
 
     def _check_point(self, c: np.ndarray) -> None:
         raise NotImplementedError
 
     def _check_tangent(self, x: np.ndarray, v: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def _points_ok(self, c: np.ndarray) -> np.ndarray:
+        """Mask of the rows of c that are finite and pass _check_point."""
+        raise NotImplementedError
+
+    def _tangents_ok(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Mask of the rows of v that are finite and pass _check_tangent at the rows of x."""
         raise NotImplementedError
 
     def _inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
@@ -197,8 +246,16 @@ class Euclidean(Manifold):
     def _check_tangent(self, x, v):
         pass
 
+    def _points_ok(self, c):
+        return np.isfinite(c).all(axis=-1)
+
+    def _tangents_ok(self, x, v):
+        return np.isfinite(v).all(axis=-1)
+
     def _inner(self, x, u, v):
-        return float(u @ v)
+        if u.ndim == 1 and v.ndim == 1:
+            return float(u @ v)
+        return _rdot(u, v)
 
     def _exp(self, x, v):
         return x + v
@@ -207,7 +264,10 @@ class Euclidean(Manifold):
         return y - x
 
     def _dist(self, x, y):
-        return float(np.linalg.norm(y - x))
+        if x.ndim == 1 and y.ndim == 1:
+            return float(np.linalg.norm(y - x))
+        z = y - x
+        return np.sqrt(_rdot(z, z))
 
     def _transport(self, x, y, v):
         return v.copy()
@@ -251,11 +311,15 @@ class FlatMetric(Euclidean):
     __hash__ = object.__hash__
 
     def _inner(self, x, u, v):
-        return float(u @ self._metric @ v)
+        if u.ndim == 1 and v.ndim == 1:
+            return float(u @ self._metric @ v)
+        return _rdot(_rvecmat(u, self._metric), v)
 
     def _dist(self, x, y):
         z = y - x
-        return math.sqrt(max(float(z @ self._metric @ z), 0.0))
+        if z.ndim == 1:
+            return math.sqrt(max(float(z @ self._metric @ z), 0.0))
+        return np.sqrt(np.maximum(_rdot(_rvecmat(z, self._metric), z), 0.0))
 
     def _tangent_basis(self, x):
         # columns of L^{-T} are orthonormal in the A inner product
@@ -285,42 +349,71 @@ class Sphere(Manifold):
         if abs(float(x @ v)) > tol:
             raise ManifoldError("tangent vector is not orthogonal to the sphere point")
 
+    def _points_ok(self, c):
+        # a non-finite row has a non-finite norm, which fails the comparison
+        return np.abs(np.sqrt(_rdot(c, c)) - 1.0) <= POINT_TOL
+
+    def _tangents_ok(self, x, v):
+        tol = TANGENT_TOL * np.maximum(1.0, np.sqrt(_rdot(v, v)))
+        return np.isfinite(v).all(axis=-1) & (np.abs(_rdot(x, v)) <= tol)
+
     def _inner(self, x, u, v):
-        return float(u @ v)
+        if u.ndim == 1 and v.ndim == 1:
+            return float(u @ v)
+        return _rdot(u, v)
 
     def _dist(self, x, y):
-        if float(x @ y) >= 0.0:
-            half_chord = 0.5 * float(np.linalg.norm(x - y))
-            return 2.0 * math.asin(min(half_chord, 1.0))
-        half_chord = 0.5 * float(np.linalg.norm(x + y))
-        return math.pi - 2.0 * math.asin(min(half_chord, 1.0))
+        if x.ndim == 1 and y.ndim == 1:
+            if float(x @ y) >= 0.0:
+                half_chord = 0.5 * float(np.linalg.norm(x - y))
+                return 2.0 * math.asin(min(half_chord, 1.0))
+            half_chord = 0.5 * float(np.linalg.norm(x + y))
+            return math.pi - 2.0 * math.asin(min(half_chord, 1.0))
+        near = _rdot(x, y) >= 0.0
+        z = np.where(near[:, None], x - y, x + y)
+        angle = 2.0 * np.arcsin(np.minimum(0.5 * np.sqrt(_rdot(z, z)), 1.0))
+        return np.where(near, angle, math.pi - angle)
 
     def _exp(self, x, v):
-        t = float(np.linalg.norm(v))
-        if t >= math.pi:
-            raise ManifoldError(
-                f"sphere exp step of length {t:.6g} reaches the injectivity radius pi"
-            )
-        if t == 0.0:
-            return x.copy()
-        if t < _SMALL:
-            out = x + v
-        else:
-            out = math.cos(t) * x + (math.sin(t) / t) * v
-        return out / float(np.linalg.norm(out))
+        if v.ndim == 1:
+            t = float(np.linalg.norm(v))
+            if t >= math.pi:
+                raise ManifoldError(
+                    f"sphere exp step of length {t:.6g} reaches the injectivity radius pi"
+                )
+            if t == 0.0:
+                return x.copy()
+            if t < _SMALL:
+                out = x + v
+            else:
+                out = math.cos(t) * x + (math.sin(t) / t) * v
+            return out / float(np.linalg.norm(out))
+        t = np.sqrt(_rdot(v, v))[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = np.where(t < _SMALL, x + v, np.cos(t) * x + (np.sin(t) / t) * v)
+        out = np.where(t == 0.0, x, out / np.sqrt(_rdot(out, out))[:, None])
+        return np.where(t >= math.pi, np.nan, out)
 
     def _log(self, x, y):
         d = self._dist(x, y)
-        if d >= math.pi - _ANTIPODE_GUARD:
+        if x.ndim == 1 and y.ndim == 1:
+            if d >= math.pi - _ANTIPODE_GUARD:
+                raise UndefinedLogarithmError(
+                    "sphere logarithm undefined: points are antipodal within guard"
+                )
+            w = y - float(x @ y) * x
+            w = w - float(x @ w) * x
+            nw = float(np.linalg.norm(w))
+            if d < _DEGENERATE or nw < _DEGENERATE:
+                return np.zeros_like(x)
+            return (d / nw) * w
+        if np.any(d >= math.pi - _ANTIPODE_GUARD):
             raise UndefinedLogarithmError(
                 "sphere logarithm undefined: points are antipodal within guard"
             )
-        w = y - float(x @ y) * x
-        w = w - float(x @ w) * x
-        nw = float(np.linalg.norm(w))
-        if d < _DEGENERATE or nw < _DEGENERATE:
-            return np.zeros_like(x)
-        return (d / nw) * w
+        w = y - _rdot(x, y)[:, None] * x
+        w = w - _rdot(x, w)[:, None] * x
+        return _log_rows(d, np.sqrt(_rdot(w, w)), w)
 
     def _transport(self, x, y, v):
         d = self._dist(x, y)
@@ -340,7 +433,9 @@ class Sphere(Manifold):
         return self._project(y, out)
 
     def _project(self, x, w):
-        return w - float(x @ w) * x
+        if x.ndim == 1 and w.ndim == 1:
+            return w - float(x @ w) * x
+        return w - _rdot(x, w)[:, None] * x
 
 
 class Hyperboloid(Manifold):
@@ -387,46 +482,74 @@ class Hyperboloid(Manifold):
         if abs(_mink(x, v)) > tol:
             raise ManifoldError("tangent vector is not Minkowski-orthogonal to the base point")
 
+    def _points_ok(self, c):
+        t = c[..., -1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            tol = POINT_TOL * np.maximum(1.0, t * t)
+            on_sheet = np.abs(_rmink(c, c) + 1.0) <= tol
+        return np.isfinite(c).all(axis=-1) & on_sheet & (t > 0.0) & (t <= self.TIME_CAP)
+
+    def _tangents_ok(self, x, v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            tol = TANGENT_TOL * np.maximum(1.0, np.sqrt(_rdot(v, v))) * np.maximum(1.0, x[..., -1])
+            return np.isfinite(v).all(axis=-1) & (np.abs(_rmink(x, v)) <= tol)
+
     def _inner(self, x, u, v):
-        return _mink(u, v)
+        if u.ndim == 1 and v.ndim == 1:
+            return _mink(u, v)
+        return _rmink(u, v)
 
     def _dist(self, x, y):
         z = x - y
         # <x-y, x-y> = 2(cosh d - 1) = 4 sinh^2(d/2); the chord form has no
         # cancellation for nearby points, unlike arccosh(-<x,y>)
-        q = max(_mink(z, z), 0.0)
-        return 2.0 * math.asinh(0.5 * math.sqrt(q))
+        if z.ndim == 1:
+            q = max(_mink(z, z), 0.0)
+            return 2.0 * math.asinh(0.5 * math.sqrt(q))
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(_rmink(z, z), 0.0)))
 
     def _exp(self, x, v):
-        t = math.sqrt(max(_mink(v, v), 0.0))
-        if t == 0.0:
-            return x.copy()
-        if t > 710.0:  # cosh overflows doubles just past 710
-            raise ManifoldError(
-                f"hyperboloid exp step of length {t:.6g} overflows the ambient coordinates"
-            )
-        if t < _SMALL:
-            out = x + v
-        else:
-            out = math.cosh(t) * x + (math.sinh(t) / t) * v
-        s = -_mink(out, out)
-        if not math.isfinite(s):
-            raise ManifoldError("hyperboloid exp overflowed the ambient coordinates")
-        # inside the trusted chart s is 1 up to ~1e-10 and renormalizing kills
-        # drift; outside it s is cancellation noise and the point check will
-        # reject the result anyway, so leave the raw combination alone
-        if 0.75 <= s <= 1.25:
-            out = out / math.sqrt(s)
-        return out
+        if v.ndim == 1:
+            t = math.sqrt(max(_mink(v, v), 0.0))
+            if t == 0.0:
+                return x.copy()
+            if t > 710.0:  # cosh overflows doubles just past 710
+                raise ManifoldError(
+                    f"hyperboloid exp step of length {t:.6g} overflows the ambient coordinates"
+                )
+            if t < _SMALL:
+                out = x + v
+            else:
+                out = math.cosh(t) * x + (math.sinh(t) / t) * v
+            s = -_mink(out, out)
+            if not math.isfinite(s):
+                raise ManifoldError("hyperboloid exp overflowed the ambient coordinates")
+            # inside the trusted chart s is 1 up to ~1e-10 and renormalizing kills
+            # drift; outside it s is cancellation noise and the point check will
+            # reject the result anyway, so leave the raw combination alone
+            if 0.75 <= s <= 1.25:
+                out = out / math.sqrt(s)
+            return out
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            t = np.sqrt(np.maximum(_rmink(v, v), 0.0))[:, None]
+            out = np.where(t < _SMALL, x + v, np.cosh(t) * x + (np.sinh(t) / t) * v)
+            s = -_rmink(out, out)[:, None]
+            out = np.where((0.75 <= s) & (s <= 1.25), out / np.sqrt(s), out)
+        out = np.where(t == 0.0, x, out)
+        return np.where((t > 710.0) | ~np.isfinite(s), np.nan, out)
 
     def _log(self, x, y):
         d = self._dist(x, y)
-        w = y + _mink(x, y) * x
-        w = w + _mink(x, w) * x
-        nw = math.sqrt(max(_mink(w, w), 0.0))
-        if d < _DEGENERATE or nw < _DEGENERATE:
-            return np.zeros_like(x)
-        return (d / nw) * w
+        if x.ndim == 1 and y.ndim == 1:
+            w = y + _mink(x, y) * x
+            w = w + _mink(x, w) * x
+            nw = math.sqrt(max(_mink(w, w), 0.0))
+            if d < _DEGENERATE or nw < _DEGENERATE:
+                return np.zeros_like(x)
+            return (d / nw) * w
+        w = y + _rmink(x, y)[:, None] * x
+        w = w + _rmink(x, w)[:, None] * x
+        return _log_rows(d, np.sqrt(np.maximum(_rmink(w, w), 0.0)), w)
 
     def _transport(self, x, y, v):
         d = self._dist(x, y)
@@ -441,7 +564,9 @@ class Hyperboloid(Manifold):
         return self._project(y, out)
 
     def _project(self, x, w):
-        return w + _mink(x, w) * x
+        if x.ndim == 1 and w.ndim == 1:
+            return w + _mink(x, w) * x
+        return w + _rmink(x, w)[:, None] * x
 
 
 def _checked_point(m: Manifold, coords) -> np.ndarray:
@@ -593,15 +718,34 @@ def _draw_coords(region: Region, n: int, directions: np.random.Generator,
     c = region.center.coords
     if region.radius == 0.0:
         return np.tile(c, (n, 1))
-    dirs = []
-    while len(dirs) < n:
-        for w in directions.standard_normal((n - len(dirs), m.ambient_dim)):
-            t = m._project(c, w)
-            nrm = math.sqrt(max(m._inner(c, t, t), 0.0))
-            if nrm >= 1e-12:
-                dirs.append((t, nrm))
-    radius = [region.radius * u ** (1.0 / m.dim) for u in (1.0 - radii.random(n)).tolist()]
-    return np.array([m._exp(c, (r / nrm) * t) for (t, nrm), r in zip(dirs, radius)])
+    t = m._project(c, directions.standard_normal((n, m.ambient_dim)))
+    nrm = np.sqrt(np.maximum(m._inner(c, t, t), 0.0))
+    while np.any(nrm < 1e-12):
+        keep = nrm >= 1e-12
+        more = m._project(c, directions.standard_normal((n - np.count_nonzero(keep), m.ambient_dim)))
+        t = np.concatenate((t[keep], more))
+        nrm = np.sqrt(np.maximum(m._inner(c, t, t), 0.0))
+    # the math-module power per draw, as in the 1-d draw: numpy's vectorized
+    # power may round differently
+    radius = region.radius * np.array([u ** (1.0 / m.dim) for u in (1.0 - radii.random(n)).tolist()])
+    return m._exp(c, (radius / nrm)[:, None] * t)
+
+
+def _require_rows(m: Manifold, c: np.ndarray, v: np.ndarray | None = None) -> None:
+    """The row form of the point check of each row of c or, given v, of the tangent check
+    of each row of v at the same row of c. Raises the 1-d check's error for the first row
+    that fails."""
+    rows = c if v is None else v
+    if rows.shape != (c.shape[0], m.ambient_dim):
+        raise ManifoldError(f"rows have shape {rows.shape}, expected ({c.shape[0]}, {m.ambient_dim})")
+    ok = m._points_ok(c) if v is None else m._tangents_ok(c, v)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if v is None:
+            _checked_point(m, c[i])
+        else:
+            TangentVector(ManifoldPoint(m, c[i]), v[i])
+        raise ManifoldError(f"row {i} fails the {'point' if v is None else 'tangent'} check")
 
 
 def sample_point(region: Region, rng: np.random.Generator) -> ManifoldPoint:

@@ -24,6 +24,9 @@ from .manifolds import (
     Region,
     Sphere,
     TangentVector,
+    _rdot,
+    _rmatvec,
+    _rvecmat,
     _symmetric_matrix,
     exp_map,
     sample_point,
@@ -69,14 +72,17 @@ class ObjectiveMetadata:
 class Objective:
     """Deterministic value/gradient evaluators on one manifold.
 
-    gradient_fn must return the Riemannian gradient in ambient coordinates
-    (already converted through the metric where that applies).
+    value_fn and gradient_fn take one point or rows: given 1-d coordinates they
+    return a float and an ambient vector; given an (n, ambient) array, one
+    value per row and one gradient row per row. gradient_fn must return the
+    Riemannian gradient in ambient coordinates (already converted through the
+    metric where that applies).
     """
 
     id: str
     manifold: Manifold
     params: Mapping[str, Any]
-    value_fn: Callable[[np.ndarray], float]
+    value_fn: Callable[[np.ndarray], float | np.ndarray]
     gradient_fn: Callable[[np.ndarray], np.ndarray]
     metadata: ObjectiveMetadata
 
@@ -118,12 +124,16 @@ def quad_euclidean(q, minimizer) -> Objective:
     lam_min = float(evals[0])
     lam_max = float(evals[-1])
 
-    def value_fn(c: np.ndarray) -> float:
+    def value_fn(c: np.ndarray) -> float | np.ndarray:
         z = c - xstar.coords
-        return 0.5 * float(z @ mat @ z)
+        if z.ndim == 1:
+            return 0.5 * float(z @ mat @ z)
+        return 0.5 * _rdot(_rvecmat(z, mat), z)
 
     def gradient_fn(c: np.ndarray) -> np.ndarray:
-        return mat @ (c - xstar.coords)
+        if c.ndim == 1:
+            return mat @ (c - xstar.coords)
+        return _rmatvec(mat, c - xstar.coords)
 
     obj = Objective(
         id="quad_euclidean",
@@ -160,12 +170,16 @@ def quad_flat_metric(q, minimizer, metric) -> Objective:
     lam_min = float(s_evals[0])
     lam_max = float(s_evals[-1])
 
-    def value_fn(c: np.ndarray) -> float:
+    def value_fn(c: np.ndarray) -> float | np.ndarray:
         z = c - xstar.coords
-        return 0.5 * float(z @ mat @ z)
+        if z.ndim == 1:
+            return 0.5 * float(z @ mat @ z)
+        return 0.5 * _rdot(_rvecmat(z, mat), z)
 
     def gradient_fn(c: np.ndarray) -> np.ndarray:
-        return a_inv @ (mat @ (c - xstar.coords))
+        if c.ndim == 1:
+            return a_inv @ (mat @ (c - xstar.coords))
+        return _rmatvec(a_inv, _rmatvec(mat, c - xstar.coords))
 
     obj = Objective(
         id="quad_flat_metric",
@@ -212,12 +226,17 @@ def rayleigh_sphere(matrix) -> Objective:
     manifold = Sphere(n_amb - 1)
     xstar = manifold.point(v / np.linalg.norm(v))
 
-    def value_fn(c: np.ndarray) -> float:
-        return -0.5 * float(c @ mat @ c)
+    def value_fn(c: np.ndarray) -> float | np.ndarray:
+        if c.ndim == 1:
+            return -0.5 * float(c @ mat @ c)
+        return -0.5 * _rdot(_rvecmat(c, mat), c)
 
     def gradient_fn(c: np.ndarray) -> np.ndarray:
-        mc = mat @ c
-        return -(mc - float(c @ mc) * c)
+        if c.ndim == 1:
+            mc = mat @ c
+            return -(mc - float(c @ mc) * c)
+        mc = _rmatvec(mat, c)
+        return -(mc - _rdot(c, mc)[:, None] * c)
 
     obj = Objective(
         id="rayleigh_sphere",
@@ -246,7 +265,7 @@ def sqdist_hyperboloid(target) -> Objective:
     manifold = Hyperboloid(arr.shape[0] - 1)
     p = manifold.point(arr)
 
-    def value_fn(c: np.ndarray) -> float:
+    def value_fn(c: np.ndarray) -> float | np.ndarray:
         d = manifold._dist(c, p.coords)
         return 0.5 * d * d
 
@@ -292,15 +311,21 @@ def perturbed_quad(q, minimizer, epsilon: float | None = None, omega: float = 5.
         raise ObjectiveError("omega must be a finite positive real")
     lam_max = float(evals[-1])
 
-    def value_fn(c: np.ndarray) -> float:
+    def value_fn(c: np.ndarray) -> float | np.ndarray:
         z = c - xstar.coords
-        return 0.5 * float(z @ mat @ z) + eps * math.sin(om * z[0]) ** 2
+        if z.ndim == 1:
+            return 0.5 * float(z @ mat @ z) + eps * math.sin(om * z[0]) ** 2
+        return 0.5 * _rdot(_rvecmat(z, mat), z) + eps * np.sin(om * z[:, 0]) ** 2
 
     def gradient_fn(c: np.ndarray) -> np.ndarray:
         z = c - xstar.coords
-        g = mat @ z
-        g = g.copy()
-        g[0] += eps * om * math.sin(2.0 * om * z[0])
+        if z.ndim == 1:
+            g = mat @ z
+            g = g.copy()
+            g[0] += eps * om * math.sin(2.0 * om * z[0])
+            return g
+        g = _rmatvec(mat, z)
+        g[:, 0] += eps * om * np.sin(2.0 * om * z[:, 0])
         return g
 
     obj = Objective(

@@ -3,7 +3,9 @@
 Nothing here calls back into geodescent: geodesics and parallel transport are
 obtained by integrating the embedded ODEs with scipy, reference constants come
 from mpmath at 50 digits, curved distances from the ambient-coordinate laws of
-cosines, and critical points from a brute-force 1-d scan.
+cosines, and critical points from a brute-force 1-d scan. The row form of the
+geometry kernel and of the objectives is held to the 1-d form, row by row,
+within ROW_ULPS.
 """
 
 from __future__ import annotations
@@ -17,6 +19,23 @@ from scipy.linalg import eigh as scipy_eigh
 from scipy.optimize import brentq
 
 _IVP_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-13)
+
+# A row result may differ from the 1-d result for that row by this many units
+# of roundoff times the square of the row's largest magnitude (1 for smaller
+# rows). The products are the same BLAS calls, but numpy's arcsin / cosh /
+# sinh / arcsinh may round differently from the math module's, and the
+# hyperboloid exp renormalizes by a Minkowski form whose rounding grows with
+# the squared coordinates, as its point check's tolerance does. Over 40,000
+# hyperboloid exp rows within distance 4 of the apex the largest gap was 54.
+ROW_ULPS = 256
+
+
+def assert_rows_match(rows, ones) -> None:
+    """Each row of rows equals the matching 1-d result of ones within ROW_ULPS."""
+    for row, one in zip(rows, ones):
+        one = np.asarray(one, dtype=float)
+        bound = ROW_ULPS * np.finfo(float).eps * max(1.0, float(np.max(np.abs(one)))) ** 2
+        assert np.all(np.abs(row - one) <= bound), (row, one, bound)
 
 
 def _mink(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Certifier: residuals, converse formulas, certificates, and the equivalences."""
 
+import dataclasses
 import json
 import math
 from contextlib import contextmanager
@@ -24,14 +25,23 @@ from geodescent.certify import (
     weaker_smoothness_residual,
     wsc_residual,
 )
+from geodescent import certify as certify_module
 from geodescent import manifolds
 from geodescent.cli import main
 from geodescent.config import parse_config
-from geodescent.descent import StepSizePolicy, rgd_step, run
-from geodescent.manifolds import Euclidean, Hyperboloid, ManifoldPoint, Region, TangentVector, dist, sample_point
+from geodescent.descent import StepSizeError, StepSizePolicy, rgd_step, run
+from geodescent.manifolds import (
+    Euclidean,
+    Hyperboloid,
+    ManifoldError,
+    ManifoldPoint,
+    Region,
+    TangentVector,
+    dist,
+    sample_point,
+)
 from geodescent.objectives import (
     PAIR_SEPARATION,
-    Objective,
     estimate_gamma,
     perturbed_quad,
     quad_euclidean,
@@ -331,15 +341,23 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_certify_evaluates_gradient_and_value_once_per_sample(monkeypatch):
+def test_certify_evaluates_gradient_and_value_once_per_sample():
+    # the shapes passed to value_fn / gradient_fn: all 50 sample rows in one call each
+    shapes = {"value": [], "gradient": []}
+
+    def recording(name, fn):
+        def wrapper(c):
+            shapes[name].append(np.shape(c))
+            return fn(c)
+        return wrapper
+
     obj = quad()
-    region = Region(obj.metadata.minimizer, 10.0)
-    grads = count_calls(monkeypatch, Objective, "gradient")
-    values = count_calls(monkeypatch, Objective, "value")
-    cert = certify_region(obj, region, 0.25, 50, seed=3)
+    obj = dataclasses.replace(obj, value_fn=recording("value", obj.value_fn),
+                              gradient_fn=recording("gradient", obj.gradient_fn))
+    cert = certify_region(obj, Region(obj.metadata.minimizer, 10.0), 0.25, 50, seed=3)
     assert cert.verdict == "certified"
-    assert len(grads) == 50
-    assert len(values) == 51  # one per sample plus f(x*)
+    assert shapes["gradient"] == [(50, 2)]
+    assert sorted(shapes["value"]) == [(2,), (50, 2)]  # the sample rows, plus f(x*) once
 
 
 FOUR_GEOMETRIES = {
@@ -350,18 +368,35 @@ FOUR_GEOMETRIES = {
 }
 
 
+def count_rows(monkeypatch, owner, name):
+    """Row count of the last array argument of each call of owner.name."""
+    rows = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        rows.append(len(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return rows
+
+
 @pytest.mark.parametrize("kind", sorted(FOUR_GEOMETRIES))
 def test_pipelines_validate_each_point_and_gradient_once(monkeypatch, kind):
-    # certify: the drawn point and its gradient per sample (the stepped point is
-    # checked as coordinates); run: the stepped point and its gradient per step
+    # certify: the drawn rows, then the stepped rows, through the row point
+    # check, and the gradient rows through the row tangent check, once each;
+    # run: the stepped point and its gradient per step
     make, radius, gamma = FOUR_GEOMETRIES[kind]
     obj = make()
     region = Region(obj.metadata.minimizer, radius)
     x0 = sample_point(region, np.random.default_rng(1))
+    point_rows = count_rows(monkeypatch, type(obj.manifold), "_points_ok")
+    tangent_rows = count_rows(monkeypatch, type(obj.manifold), "_tangents_ok")
     points = count_calls(monkeypatch, ManifoldPoint, "__post_init__")
     tangents = count_calls(monkeypatch, TangentVector, "__post_init__")
     certify_region(obj, region, "auto", 50, seed=3, gamma_override=gamma)
-    assert (len(points), len(tangents)) == (50, 50)
+    assert (point_rows, tangent_rows) == ([50, 50], [50])
+    assert (len(points), len(tangents)) == (0, 0)
     points.clear()
     tangents.clear()
     traj = run(obj, x0, StepSizePolicy(mode="fixed", eta=0.1), 20, region=region)
@@ -371,15 +406,16 @@ def test_pipelines_validate_each_point_and_gradient_once(monkeypatch, kind):
 
 @contextmanager
 def recorded_points():
-    """Coordinates of every ManifoldPoint built inside the block, in order."""
+    """The rows that certify_region draws (manifolds._draw_coords) inside the block, in order."""
     drawn = []
-    real = ManifoldPoint.__post_init__
+    real = certify_module._draw_coords
 
-    def recording(self):
-        real(self)
-        drawn.append(self.coords)
+    def recording(*args):
+        rows = real(*args)
+        drawn.extend(rows)
+        return rows
 
-    with mock.patch.object(ManifoldPoint, "__post_init__", recording):
+    with mock.patch.object(certify_module, "_draw_coords", recording):
         yield drawn
 
 
@@ -482,11 +518,77 @@ def test_certify_rejects_hyperboloid_region_beyond_the_chart():
     assert cert.verdict == "certified"
 
 
+# (kind, eta, gamma override): the four geometries with eta auto, plus sphere
+# steps of eta * |g| >= pi on part of the rows, which must become step errors
+BATCH_CASES = {kind: (kind, "auto", gamma) for kind, (_, _, gamma) in FOUR_GEOMETRIES.items()}
+BATCH_CASES["sphere-past-pi"] = ("sphere", 9.0, 0.2)
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_certify_matches_a_per_sample_recomputation(case):
+    # the row pipeline against the 1-d one (rgd_step, dist, wsc_residual) on the same draws
+    kind, eta, gamma = BATCH_CASES[case]
+    make, radius, _ = FOUR_GEOMETRIES[kind]
+    obj = make()
+    region = Region(obj.metadata.minimizer, radius if case != "sphere-past-pi" else 0.7)
+    with recorded_points() as drawn:
+        cert = certify_region(obj, region, eta, 200, seed=4, gamma_override=gamma)
+    xstar = obj.metadata.minimizer
+    points, ratios, errors = [], [], 0
+    for c in drawn:
+        x = ManifoldPoint(obj.manifold, c)
+        points.append(x)
+        try:
+            y = rgd_step(obj, x, cert.eta_used)
+        except (ManifoldError, StepSizeError):
+            errors += 1
+            continue
+        ratios.append((dist(y, xstar) / dist(x, xstar)) ** 2)
+    assert ("step-error" in cert.flags) == (errors > 0)
+    assert 0 < errors < 200 if case == "sphere-past-pi" else errors == 0
+    assert cert.worst_ratio == pytest.approx(max(ratios), rel=1e-12)
+    if cert.residual_min is not None:
+        residuals = [wsc_residual(obj, x, cert.a, cert.mu) for x in points]
+        assert cert.residual_min == pytest.approx(min(residuals), rel=1e-9, abs=1e-12)
+        assert cert.residual_mean == pytest.approx(math.fsum(residuals) / 200, rel=1e-9, abs=1e-12)
+
+
+def test_certify_raises_on_rows_that_fail_their_check(monkeypatch):
+    ray = rayleigh_sphere(np.diag([3.0, 2.5, 1.0]))
+    region = Region(ray.metadata.minimizer, 0.5)
+
+    def broken_row(fn, k, scale):
+        def wrapper(c):
+            out = np.array(fn(c))
+            if out.ndim == 2:
+                out[k] = scale(out[k], c[k])
+            return out
+        return wrapper
+
+    cases = [  # (gradient_fn, message of the 1-d check on the failing row)
+        (broken_row(ray.gradient_fn, 7, lambda g, x: g + np.nan), "must be finite"),
+        (broken_row(ray.gradient_fn, 7, lambda g, x: g + 1e-3 * x), "not orthogonal"),
+    ]
+    for gradient_fn, message in cases:
+        with pytest.raises(ManifoldError, match=message):
+            certify_region(dataclasses.replace(ray, gradient_fn=gradient_fn), region, 0.3, 20, seed=1)
+    # a value_fn written for one point only returns one value for all the rows
+    summed = dataclasses.replace(ray, value_fn=lambda c: -0.5 * float(np.sum(c * (c @ np.diag([3.0, 2.5, 1.0])))))
+    with pytest.raises(CertificationError, match="value_fn returned shape"):
+        certify_region(summed, region, 0.3, 20, seed=1)
+    real = manifolds.Sphere._exp
+    monkeypatch.setattr(manifolds.Sphere, "_exp", lambda self, x, v: (1.0 + 1e-6) * real(self, x, v))
+    with pytest.raises(ManifoldError, match="unit norm"):
+        certify_region(ray, region, 0.3, 20, seed=1, gamma_override=2.1)
+
+
 def test_certify_logarithm_error_is_recorded_on_its_sample(monkeypatch):
     real = manifolds.Sphere._log
 
+    # certify takes the logarithm of all sample rows in one call, which then
+    # raises if any row has x[1] > 0.1
     def flaky(self, x, y):
-        if x[1] > 0.1:
+        if np.any(np.atleast_2d(x)[:, 1] > 0.1):
             raise manifolds.UndefinedLogarithmError("forced")
         return real(self, x, y)
 

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracles
 
+from geodescent import manifolds
 from geodescent.manifolds import (
     Euclidean,
     FlatMetric,
@@ -26,7 +29,7 @@ from geodescent.manifolds import (
     sample_point,
     tangent_basis,
 )
-from geodescent.selftest import base_point, catalog, rand_point, rand_tangent
+from geodescent.selftest import base_point, catalog, rand_point, rand_tangent, tangent_cap
 
 
 def e(i, n):
@@ -385,6 +388,102 @@ def test_sample_point_stays_in_ball_and_is_deterministic():
         for _ in range(200):
             p = sample_point(region, rng)
             assert dist(center, p) <= radius + 1e-9
+
+
+# ------------------------------------------------------------- row kernel
+
+
+def raises_manifold_error(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except ManifoldError:
+        return True
+    return False
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(geometry=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       shared=st.booleans(), masked=st.integers(0, 3))
+def test_row_kernel_matches_the_1d_kernel_row_by_row(geometry, seed, n, shared, masked):
+    # points within distance 1 of the base point, tangents inside the trusted
+    # step lengths; `masked` rows get steps the 1-d exp refuses, and the row
+    # exp must answer those with NaN rows
+    m = catalog()[geometry]
+    rng = np.random.default_rng(seed)
+    pts = [rand_point(m, rng, 1.0) for _ in range(n)]
+    if shared:
+        pts = pts[:1] * n
+    xs = np.array([p.coords for p in pts])
+    ys = np.array([rand_point(m, rng, 1.0).coords for _ in range(n)])
+    us = np.array([rand_tangent(p, rng, tangent_cap(m) * rng.random()).coords for p in pts])
+    vs = np.array([rand_tangent(p, rng, tangent_cap(m) * rng.random()).coords for p in pts])
+    ws = rng.standard_normal((n, m.ambient_dim))
+    refused = {"sphere": math.pi * (1.0 + rng.random()), "hyperboloid": 711.0 + 100.0 * rng.random()}
+    if m.kind in refused:
+        for i in range(min(masked, n)):
+            us[i] *= refused[m.kind] / math.sqrt(m._inner(xs[i], us[i], us[i]))
+    x_arg = xs[0] if shared else xs
+
+    oracles.assert_rows_match(m._inner(x_arg, us, vs), [m._inner(x, u, v) for x, u, v in zip(xs, us, vs)])
+    oracles.assert_rows_match(m._dist(x_arg, ys), [m._dist(x, y) for x, y in zip(xs, ys)])
+    oracles.assert_rows_match(m._log(x_arg, ys), [m._log(x, y) for x, y in zip(xs, ys)])
+    oracles.assert_rows_match(m._project(x_arg, ws), [m._project(x, w) for x, w in zip(xs, ws)])
+    stepped = m._exp(x_arg, us)
+    assert np.all(np.isnan(stepped[0])) == (masked > 0 and m.kind in refused)
+    for i, (x, u) in enumerate(zip(xs, us)):
+        if raises_manifold_error(m._exp, x, u):
+            assert np.all(np.isnan(stepped[i]))
+        else:
+            oracles.assert_rows_match(stepped[i:i + 1], [m._exp(x, u)])
+    # the row checks accept exactly the rows the 1-d checks accept
+    on = m._points_ok(stepped)
+    assert list(on) == [not raises_manifold_error(manifolds._checked_point, m, c) for c in stepped]
+    tangent = m._tangents_ok(xs, np.concatenate((us[:1], ws[1:])))
+    assert list(tangent) == [not raises_manifold_error(TangentVector, p, w)
+                             for p, w in zip(pts, np.concatenate((us[:1], ws[1:])))]
+
+
+def test_row_sphere_log_raises_if_any_row_is_antipodal():
+    m = Sphere(2)
+    xs = np.array([e(0, 3), e(1, 3), e(2, 3)])
+    ys = np.array([e(1, 3), -e(1, 3), e(0, 3)])
+    assert [raises_manifold_error(m._log, x, y) for x, y in zip(xs, ys)] == [False, True, False]
+    with pytest.raises(UndefinedLogarithmError):
+        m._log(xs, ys)
+    oracles.assert_rows_match(m._log(xs[[0, 2]], ys[[0, 2]]), [m._log(xs[0], ys[0]), m._log(xs[2], ys[2])])
+
+
+def test_row_point_check_masks_what_the_1d_check_rejects():
+    rows = {
+        "euclidean": (Euclidean(2), [[1.0, 2.0], [np.nan, 0.0], [np.inf, 1.0]]),
+        "sphere": (Sphere(2), [e(0, 3), [1.0, 1.0, 0.0], [np.nan, 0.0, 1.0]]),
+        "hyperboloid": (Hyperboloid(2), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [math.sinh(8.0), 0.0, math.cosh(8.0)],
+                                         [1.0, 0.0, 1.0], [np.inf, 0.0, np.inf]]),
+    }
+    for m, coords in rows.values():
+        coords = np.array(coords, dtype=float)
+        expected = [not raises_manifold_error(m.point, c) for c in coords]
+        assert expected[0] and not any(expected[1:])
+        assert list(m._points_ok(coords)) == expected
+
+
+def test_draw_replaces_a_direction_whose_projection_vanishes():
+    # the second Gaussian row lies along the sphere's centre, so its tangent
+    # projection is zero: it is skipped, and one more row is drawn for the end
+    m = Sphere(2)
+    region = Region(m.point(e(0, 3)), 0.5)
+    batches = [np.array([e(1, 3), 2.0 * e(0, 3), e(2, 3)]), np.array([-e(1, 3)])]
+
+    class Directions:
+        def standard_normal(self, shape):
+            assert shape == batches[0].shape
+            return batches.pop(0)
+
+    drawn = manifolds._draw_coords(region, 3, Directions(), np.random.default_rng(0))
+    assert not batches
+    for row, direction in zip(drawn, (e(1, 3), e(2, 3), -e(1, 3))):
+        v = m._log(region.center.coords, row)
+        assert np.allclose(v / np.linalg.norm(v), direction, atol=1e-12)
 
 
 # ------------------------------------------------------------- serialization

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracles
 
@@ -29,7 +31,7 @@ from geodescent.objectives import (
     rayleigh_sphere,
     sqdist_hyperboloid,
 )
-from geodescent.selftest import objective_zoo, rand_tangent
+from geodescent.selftest import objective_zoo, rand_point, rand_tangent
 
 Q14 = np.diag([1.0, 4.0])
 
@@ -99,6 +101,16 @@ def test_fd_oracle_agrees_with_analytic_gradients():
             fd = fd_gradient_oracle(obj, x)
             err = float(np.linalg.norm(fd.coords - g.coords))
             assert err <= 1e-5 * max(1.0, g.norm())
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(which=st.integers(0, 4), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+def test_row_values_and_gradients_match_the_1d_evaluators(which, seed, n):
+    obj = objective_zoo()[which]
+    rng = np.random.default_rng(seed)
+    rows = np.array([rand_point(obj.manifold, rng, 1.0).coords for _ in range(n)])
+    oracles.assert_rows_match(obj.value_fn(rows), [obj.value_fn(x) for x in rows])
+    oracles.assert_rows_match(obj.gradient_fn(rows), [obj.gradient_fn(x) for x in rows])
 
 
 def test_fd_oracle_near_zero_at_minimizer():
