@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import curvature
-from .manifolds import Manifold, ManifoldError, ManifoldPoint, Region, TangentVector, dist
+from .manifolds import Manifold, ManifoldError, ManifoldPoint, Region, dist
 from .objectives import Objective
 
 __all__ = [
@@ -189,26 +189,19 @@ def gd_step(obj: Objective, x: ManifoldPoint, eta: float) -> ManifoldPoint:
 
 def rgd_step(obj: Objective, x: ManifoldPoint, eta: float) -> ManifoldPoint:
     """One step of Riemannian gradient descent: exp_x(-eta * grad f(x))."""
-    return ManifoldPoint(obj.manifold, _step_along(obj.manifold, x.coords, obj.gradient(x), _check_eta(eta)))
+    g = obj.gradient(x)
+    return ManifoldPoint(obj.manifold, _step_along(obj.manifold, x.coords, g.coords, g.norm(), _check_eta(eta)))
 
 
-def _step_along(m: Manifold, x: np.ndarray, g: TangentVector, eta: float) -> np.ndarray:
+def _step_along(m: Manifold, x: np.ndarray, g: np.ndarray, g_norm: float, eta: float) -> np.ndarray:
     """Unchecked coordinates of exp_x(-eta * g) from base coordinates x, the
-    checked gradient g = grad f(x) and a checked eta; callers check the result."""
-    if m.kind == "sphere":
-        step_len = eta * g.norm()
-        if step_len >= math.pi:
-            raise StepSizeError(
-                f"step of length {step_len:.6g} reaches the injectivity radius pi on the sphere"
-            )
-    return m._exp(x, -eta * g.coords)
-
-
-def _record(obj: Objective, x: ManifoldPoint, index: int, eta: float):
-    """The record of iterate x together with its gradient, which the next step reuses."""
-    value, g = obj.value(x), obj.gradient(x)
-    d = obj.manifold._dist(x.coords, obj.metadata.minimizer.coords)
-    return StepRecord(index, x, value, g.norm(), d, eta), g
+    checked gradient coordinates g = grad f(x), its norm and a checked eta;
+    callers check the result. On the sphere a step of length pi or more raises."""
+    if m.kind == "sphere" and eta * g_norm >= math.pi:
+        raise StepSizeError(
+            f"step of length {eta * g_norm:.6g} reaches the injectivity radius pi on the sphere"
+        )
+    return m._exp(x, -eta * g)
 
 
 def run(
@@ -219,12 +212,16 @@ def run(
     region: Optional[Region] = None,
     seed: Optional[int] = None,
 ) -> Trajectory:
-    """Apply rgd_step n_steps times, recording every iterate.
+    """Riemannian gradient descent from x0 with the policy's eta, recording every iterate.
 
-    Each iterate's gradient is evaluated once, for its record and its step.
-    Aborts early with a recorded stop reason on a stepping error or when a
-    non-finite value or gradient appears; the offending record is kept so the
-    exported trajectory shows where things went wrong.
+    Takes up to n_steps steps x <- exp_x(-eta * grad f(x)), the step of rgd_step.
+    Each iterate costs one value, one checked gradient and its norm, one exp
+    and one point check; eta is checked once. The distances to the minimizer
+    and the region exits are computed after the loop, in one row pass each
+    over the stacked iterates. Stops early with a recorded stop reason on a
+    stepping error (a bad eta included) or when a non-finite value or
+    gradient norm appears; the offending record is kept so the exported
+    trajectory shows where things went wrong.
     """
     if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
@@ -233,31 +230,40 @@ def run(
     eta = policy.resolve()
 
     m = obj.manifold
-    rec, g = _record(obj, x0, 0, eta)
-    records = [rec]
-    exited: list[int] = []
-    stop_reason = "completed"
-    x = x0
-    for i in range(1, n_steps + 1):
+    x, value, g = x0, obj.value(x0), obj.gradient(x0)
+    g_norm = g.norm()
+    iterates = [(x, value, g_norm)]  # (point, value, gradient norm) per record
+    stop_reason, steps = "completed", range(1, n_steps + 1)
+    try:
+        _check_eta(eta)
+    except StepSizeError as e:
+        stop_reason, steps = f"step-error: {e}", ()
+    for _ in steps:
         try:
-            x = ManifoldPoint(m, _step_along(m, x.coords, g, _check_eta(eta)))
+            x = ManifoldPoint(m, _step_along(m, x.coords, g.coords, g_norm, eta))
         except (ManifoldError, StepSizeError) as e:
             stop_reason = f"step-error: {e}"
             break
-        rec, g = _record(obj, x, i, eta)
-        records.append(rec)
-        if region is not None and m._dist(region.center.coords, x.coords) > region.radius + REGION_EXIT_TOL:
-            exited.append(i)
-        if not (math.isfinite(rec.value) and math.isfinite(rec.gradient_norm)):
+        value, g = obj.value(x), obj.gradient(x)
+        g_norm = g.norm()
+        iterates.append((x, value, g_norm))
+        if not (math.isfinite(value) and math.isfinite(g_norm)):
             stop_reason = "non-finite-value"
             break
+
+    coords = np.array([it[0].coords for it in iterates])
+    dists = m._dist(coords, obj.metadata.minimizer.coords).tolist()
+    exited = ()
+    if region is not None:
+        outside = m._dist(region.center.coords, coords[1:]) > region.radius + REGION_EXIT_TOL
+        exited = tuple((np.flatnonzero(outside) + 1).tolist())
     return Trajectory(
         objective_id=obj.id,
         policy=policy,
         seed=seed,
-        steps=tuple(records),
+        steps=tuple(StepRecord(i, *it, d, eta) for i, (it, d) in enumerate(zip(iterates, dists))),
         stop_reason=stop_reason,
-        exited_region=tuple(exited),
+        exited_region=exited,
     )
 
 

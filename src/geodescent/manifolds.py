@@ -60,7 +60,7 @@ def _as_vector(values, what: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ManifoldError(f"{what} must be a 1-d real vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ManifoldError(f"{what} must be finite")
     return arr
 
@@ -87,11 +87,16 @@ def _as_spd_matrix(values, what: str, error: type[Exception] = ManifoldError) ->
     return mat
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-d vector: np.linalg.norm's arithmetic, without its wrapper."""
+    return math.sqrt(float(v.dot(v)))
+
+
 def _mink(u: np.ndarray, v: np.ndarray) -> float:
     # Minkowski form with the time-like coordinate last; callers check the
-    # result for finiteness, so a silent inf/nan here is fine
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(u[:-1] @ v[:-1] - u[-1] * v[-1])
+    # result for finiteness. vdot and float arithmetic overflow to inf/nan
+    # silently, so no errstate is needed.
+    return float(np.vdot(u[:-1], v[:-1])) - float(u[-1]) * float(v[-1])
 
 
 # Row helpers. A kernel method given an (n, ambient) array works row by row;
@@ -265,7 +270,7 @@ class Euclidean(Manifold):
 
     def _dist(self, x, y):
         if x.ndim == 1 and y.ndim == 1:
-            return float(np.linalg.norm(y - x))
+            return _norm(y - x)
         z = y - x
         return np.sqrt(_rdot(z, z))
 
@@ -341,11 +346,11 @@ class Sphere(Manifold):
         return (1.0, 1.0)
 
     def _check_point(self, c):
-        if abs(float(np.linalg.norm(c)) - 1.0) > POINT_TOL:
+        if abs(_norm(c) - 1.0) > POINT_TOL:
             raise ManifoldError(f"sphere point must have unit norm within {POINT_TOL}")
 
     def _check_tangent(self, x, v):
-        tol = TANGENT_TOL * max(1.0, float(np.linalg.norm(v)))
+        tol = TANGENT_TOL * max(1.0, _norm(v))
         if abs(float(x @ v)) > tol:
             raise ManifoldError("tangent vector is not orthogonal to the sphere point")
 
@@ -365,9 +370,9 @@ class Sphere(Manifold):
     def _dist(self, x, y):
         if x.ndim == 1 and y.ndim == 1:
             if float(x @ y) >= 0.0:
-                half_chord = 0.5 * float(np.linalg.norm(x - y))
+                half_chord = 0.5 * _norm(x - y)
                 return 2.0 * math.asin(min(half_chord, 1.0))
-            half_chord = 0.5 * float(np.linalg.norm(x + y))
+            half_chord = 0.5 * _norm(x + y)
             return math.pi - 2.0 * math.asin(min(half_chord, 1.0))
         near = _rdot(x, y) >= 0.0
         z = np.where(near[:, None], x - y, x + y)
@@ -376,7 +381,7 @@ class Sphere(Manifold):
 
     def _exp(self, x, v):
         if v.ndim == 1:
-            t = float(np.linalg.norm(v))
+            t = _norm(v)
             if t >= math.pi:
                 raise ManifoldError(
                     f"sphere exp step of length {t:.6g} reaches the injectivity radius pi"
@@ -387,7 +392,7 @@ class Sphere(Manifold):
                 out = x + v
             else:
                 out = math.cos(t) * x + (math.sin(t) / t) * v
-            return out / float(np.linalg.norm(out))
+            return out / _norm(out)
         t = np.sqrt(_rdot(v, v))[:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.where(t < _SMALL, x + v, np.cos(t) * x + (np.sin(t) / t) * v)
@@ -403,7 +408,7 @@ class Sphere(Manifold):
                 )
             w = y - float(x @ y) * x
             w = w - float(x @ w) * x
-            nw = float(np.linalg.norm(w))
+            nw = _norm(w)
             if d < _DEGENERATE or nw < _DEGENERATE:
                 return np.zeros_like(x)
             return (d / nw) * w
@@ -423,7 +428,7 @@ class Sphere(Manifold):
             )
         w = y - float(x @ y) * x
         w = w - float(x @ w) * x
-        nw = float(np.linalg.norm(w))
+        nw = _norm(w)
         if nw < _DEGENERATE:
             return self._project(y, v)
         e = w / nw
@@ -461,24 +466,25 @@ class Hyperboloid(Manifold):
         return (-1.0, -1.0)
 
     def _check_point(self, c):
-        q = _mink(c, c)
+        q, t = _mink(c, c), float(c[-1])
         # the form of a representable point carries rounding ~eps * time^2,
-        # so the tolerance scales the same way (= fixed intrinsic accuracy)
-        tol = POINT_TOL * max(1.0, float(c[-1]) ** 2)
+        # so the tolerance scales the same way (= fixed intrinsic accuracy);
+        # t * t overflows to inf where t ** 2 would raise OverflowError
+        tol = POINT_TOL * max(1.0, t * t)
         if not math.isfinite(q) or abs(q + 1.0) > tol:
             raise ManifoldError(
                 f"hyperboloid point must satisfy <x,x> = -1 within {POINT_TOL} relative to the squared time coordinate"
             )
-        if c[-1] <= 0.0:
+        if t <= 0.0:
             raise ManifoldError("hyperboloid point must lie on the upper sheet (last coordinate > 0)")
-        if c[-1] > self.TIME_CAP:
+        if t > self.TIME_CAP:
             raise ManifoldError(
-                f"hyperboloid point time coordinate {c[-1]:.6g} exceeds the trusted chart limit "
+                f"hyperboloid point time coordinate {t:.6g} exceeds the trusted chart limit "
                 f"{self.TIME_CAP:g} (metric resolution falls below 1e-9 beyond it)"
             )
 
     def _check_tangent(self, x, v):
-        tol = TANGENT_TOL * max(1.0, float(np.linalg.norm(v))) * max(1.0, float(x[-1]))
+        tol = TANGENT_TOL * max(1.0, _norm(v)) * max(1.0, float(x[-1]))
         if abs(_mink(x, v)) > tol:
             raise ManifoldError("tangent vector is not Minkowski-orthogonal to the base point")
 

@@ -118,6 +118,8 @@ def test_parse_applies_overrides_and_ignores_none():
          "objective.params.minimizer"),
         (quad_doc(objective={"id": "perturbed_quad", "params": {"q": [[1, 0], [0, 4]], "minimizer": [0, 0],
                                                                 "epsilon": 10**400}}), "objective.params.epsilon"),
+        (quad_doc(manifold={"kind": "hyperboloid", "dim": 2},
+                  objective={"id": "sqdist_hyperboloid", "params": {"target": [0, 0, 1e200]}}), "'objective'"),
     ],
 )
 def test_parse_rejects_bad_documents(doc, needle):
@@ -230,6 +232,18 @@ def test_cli_hyperboloid_region_beyond_chart_exit_three(tmp_path, capsys):
     }
     assert main(["certify", "--config", write_doc(tmp_path, doc)]) == 3
     assert "chart limit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_hyperboloid_target_with_overflowing_time_exit_three(tmp_path, capsys):
+    doc = {
+        "manifold": {"kind": "hyperboloid", "dim": 2},
+        "objective": {"id": "sqdist_hyperboloid", "params": {"target": [0.0, 0.0, 1e200]}},
+        "region": {"radius": 1.0},
+        "out": str(tmp_path / "out"),
+    }
+    assert main(["certify", "--config", write_doc(tmp_path, doc)]) == 3
+    assert "hyperboloid point must satisfy" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

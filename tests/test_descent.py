@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _oracles as oracles
 
 from geodescent.curvature import zeta
 from geodescent.descent import (
+    REGION_EXIT_TOL,
     NoContractionError,
     StepSizeError,
     StepSizePolicy,
@@ -16,9 +21,10 @@ from geodescent.descent import (
     rgd_step,
     run,
 )
-from geodescent.manifolds import Region, dist, sample_point
+from geodescent.manifolds import ManifoldError, Region, dist, sample_point
 from geodescent.objectives import (
     Objective,
+    ObjectiveError,
     perturbed_quad,
     quad_euclidean,
     quad_flat_metric,
@@ -210,6 +216,89 @@ def test_run_aborts_on_non_finite_value():
     traj = run(obj, obj.manifold.point([2.0, 2.0]), StepSizePolicy(mode="fixed", eta=1e160), 10)
     assert traj.stop_reason == "non-finite-value"
     assert len(traj.steps) < 11
+    # the offending record is kept, and it is the only non-finite one
+    assert not math.isfinite(traj.steps[-1].value)
+    assert all(math.isfinite(rec.value) for rec in traj.steps[:-1])
+
+
+def test_run_later_step_error_keeps_the_valid_iterates():
+    # eta = 2.5 expands the distance 1.5-fold per step, until a step leaves the trusted chart
+    obj = sqdist_hyperboloid([0.0, 0.0, 0.0, 1.0])
+    region = Region(obj.metadata.minimizer, 2.0)
+    x0 = obj.manifold.point([2.0, 0.0, 0.0, math.sqrt(5.0)])
+    traj = run(obj, x0, StepSizePolicy(mode="fixed", eta=2.5), 30, region=region)
+    assert traj.stop_reason.startswith("step-error:")
+    assert len(traj.steps) > 2
+    assert all(rec.point.coords[-1] <= obj.manifold.TIME_CAP for rec in traj.steps)
+    outside = tuple(i for i, rec in enumerate(traj.steps)
+                    if dist(region.center, rec.point) > region.radius + REGION_EXIT_TOL)
+    assert traj.exited_region == outside
+    assert outside == tuple(range(1, len(traj.steps)))
+
+
+def test_run_overflowing_policy_eta_stops_after_the_first_record():
+    obj = quad_euclidean(Q14, [0.0, 0.0])
+    traj = run(obj, obj.manifold.point([1.0, 1.0]), StepSizePolicy(mode="prop1", a=1e308, gamma=1e-308), 5)
+    assert traj.stop_reason.startswith("step-error: step size must be finite")
+    assert len(traj.steps) == 1
+    assert traj.steps[0].eta_used == math.inf
+
+
+def test_run_rejects_a_start_on_another_manifold():
+    obj = quad_euclidean(Q14, [0.0, 0.0])
+    with pytest.raises(ObjectiveError):
+        run(obj, rayleigh_sphere(np.diag([3.0, 1.0])).metadata.minimizer, StepSizePolicy(mode="fixed", eta=0.1), 3)
+
+
+def _oracle_run(obj, x0, eta, n_steps, region):
+    """run() rebuilt one step at a time from the public checked API."""
+    star, points, exited, stop_reason = obj.metadata.minimizer, [x0], [], "completed"
+    for i in range(1, n_steps + 1):
+        try:
+            x = rgd_step(obj, points[-1], eta)
+        except (ManifoldError, StepSizeError) as e:
+            stop_reason = f"step-error: {e}"
+            break
+        points.append(x)
+        if region is not None and dist(region.center, x) > region.radius + REGION_EXIT_TOL:
+            exited.append(i)
+        if not (math.isfinite(obj.value(x)) and math.isfinite(obj.gradient(x).norm())):
+            stop_reason = "non-finite-value"
+            break
+    records = [(p.coords, obj.value(p), obj.gradient(p).norm(), dist(p, star)) for p in points]
+    return records, stop_reason, tuple(exited)
+
+
+RUN_OBJECTIVES = (
+    quad_euclidean(Q14, [0.5, -0.5]),
+    quad_flat_metric(np.array([[2.0, 0.3], [0.3, 1.0]]), [0.0, 1.0], np.diag([4.0, 1.0])),
+    rayleigh_sphere(np.diag([3.0, 2.5, 1.0])),
+    sqdist_hyperboloid([0.3, -0.4, math.sqrt(1.25)]),
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("obj", RUN_OBJECTIVES, ids=lambda obj: obj.manifold.kind)
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 25),
+       eta=st.sampled_from([0.05, 0.3, 0.9, 1.9, 2.5, 10.0, 1e6, 1e160]), with_region=st.booleans())
+def test_run_matches_the_step_by_step_oracle(obj, seed, n_steps, eta, with_region):
+    # large etas cover region exits, the sphere's pi guard, the hyperboloid chart
+    # cap after several steps and non-finite values on the flat geometries
+    region = Region(obj.metadata.minimizer, 0.5 if obj.manifold.kind == "sphere" else 2.0)
+    x0 = sample_point(region, np.random.default_rng(seed))
+    traj = run(obj, x0, StepSizePolicy(mode="fixed", eta=eta), n_steps, region=region if with_region else None)
+    records, stop_reason, exited = _oracle_run(obj, x0, eta, n_steps, region if with_region else None)
+    assert (traj.stop_reason, traj.exited_region) == (stop_reason, exited)
+    assert [rec.index for rec in traj.steps] == list(range(len(records)))
+    assert all(rec.eta_used == eta for rec in traj.steps)
+    for rec, (coords, value, gradient_norm, _) in zip(traj.steps, records, strict=True):
+        assert np.array_equal(rec.point.coords, coords)
+        assert np.array_equal([rec.value, rec.gradient_norm], [value, gradient_norm], equal_nan=True)
+    # distances come from the row kernel: equal, or within roundoff of the 1-d one
+    dists = np.array([d for *_, d in records])
+    differ = traj.distances != dists
+    oracles.assert_rows_match(traj.distances[differ], dists[differ])
 
 
 def test_run_evaluates_one_gradient_per_iterate(monkeypatch):

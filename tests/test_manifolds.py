@@ -1,6 +1,7 @@
 """Geometry kernel tests: closed-form values, invariants, and ODE cross-checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,42 @@ def test_hyperboloid_rejects_points_past_time_cap():
     assert "trusted chart" in str(info.value)
     near = m.point([math.sinh(7.0), 0.0, math.cosh(7.0)])
     assert dist(near, m.point([0.0, 0.0, 1.0])) == pytest.approx(7.0, rel=1e-9)
+
+
+def test_hyperboloid_point_with_overflowing_time_square_is_a_manifold_error():
+    # the squared time coordinate overflows past about 1.34e154
+    for coords in ([0.0, 0.0, 1e200], [1e200, 0.0, 1e200]):
+        with pytest.raises(ManifoldError):
+            Hyperboloid(2).point(coords)
+
+
+def test_hyperboloid_1d_kernel_is_silent_at_overflow_scale():
+    m = Hyperboloid(2)
+    apex = np.array([0.0, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # cosh(709) fits, but the Minkowski form of the result overflows; 1e200 overflows the step length
+        for v in ([709.0, 0.0, 0.0], [1e200, 0.0, 0.0], [1e300, 1e300, 0.0]):
+            with pytest.raises(ManifoldError):
+                m._exp(apex, np.array(v))
+        assert not math.isfinite(m._dist(apex, np.array([1e200, 0.0, 1e200])))
+        for c in ([0.0, 0.0, 1e200], [1e200, 0.0, 1e200], [1e300, 1e300, 1e300]):
+            with pytest.raises(ManifoldError):
+                m._check_point(np.array(c))
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), exponent=st.integers(-200, 200))
+def test_norm_and_mink_helpers_match_numpy_bit_for_bit(seed, n, exponent):
+    rng = np.random.default_rng(seed)
+    u, v = 10.0 ** exponent * rng.standard_normal((2, n + 1))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        assert _same(manifolds._norm(u), float(np.linalg.norm(u)))
+        assert _same(manifolds._mink(u, v), float(u[:-1] @ v[:-1] - u[-1] * v[-1]))
 
 
 def test_mixed_manifold_operations_rejected():
