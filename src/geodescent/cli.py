@@ -6,8 +6,9 @@ Commands:
   selftest  re-run the package's invariant suite at reduced scale
 
 Exit codes for certify: 0 certified, 1 refuted, 2 inconclusive, 3 input error.
-run exits 1 on divergence or a non-finite abort, selftest 1 on any failed
-property; 3 always means the inputs were rejected before any computation.
+run exits 1 on divergence or an early stop (the trajectory is still written),
+selftest 1 on any failed property; 3 always means the inputs were rejected
+before any computation.
 """
 
 from __future__ import annotations

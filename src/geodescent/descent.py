@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import curvature
-from .manifolds import Manifold, ManifoldError, ManifoldPoint, Region, dist
-from .objectives import Objective
+from .manifolds import Manifold, ManifoldError, ManifoldPoint, Region, _first_bad_row, dist
+from .objectives import Objective, ObjectiveError
 
 __all__ = [
     "StepSizeError",
@@ -214,54 +214,85 @@ def run(
 ) -> Trajectory:
     """Riemannian gradient descent from x0 with the policy's eta, recording every iterate.
 
-    Takes up to n_steps steps x <- exp_x(-eta * grad f(x)), the step of rgd_step.
-    Each iterate costs one value, one checked gradient and its norm, one exp
-    and one point check; eta is checked once. The distances to the minimizer
-    and the region exits are computed after the loop, in one row pass each
-    over the stacked iterates. Stops early with a recorded stop reason on a
-    stepping error (a bad eta included) or when a non-finite value or
-    gradient norm appears; the offending record is kept so the exported
-    trajectory shows where things went wrong.
+    Takes up to n_steps steps x <- exp_x(-eta * grad f(x)), the step of rgd_step,
+    on raw coordinates. x0, its gradient and eta are checked before the loop (a
+    non-finite start value or gradient norm, or a gradient of the wrong shape,
+    raises ObjectiveError); the stepped points and the gradients after it, in
+    one row pass each, as are the distances and region exits. stop_reason is
+    "completed" or names the earliest failure, which ends the trajectory; at one
+    record, "step-error: <message>" (a bad eta, a step the kernel refuses, or a
+    stepped point that fails its check; the point is dropped) ranks before
+    "gradient-error: <message>" (a gradient that fails its check, say by
+    overflowing; the record is kept), and that before "non-finite-value" (a
+    non-finite value or gradient norm; the record is kept). Each message is the
+    single-point check's.
     """
     if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
-    if region is not None and dist(region.center, x0) > region.radius + REGION_EXIT_TOL:
-        raise ValueError("x0 lies outside the declared region")
     eta = policy.resolve()
-
     m = obj.manifold
-    x, value, g = x0, obj.value(x0), obj.gradient(x0)
-    g_norm = g.norm()
-    iterates = [(x, value, g_norm)]  # (point, value, gradient norm) per record
-    stop_reason, steps = "completed", range(1, n_steps + 1)
-    try:
-        _check_eta(eta)
-    except StepSizeError as e:
-        stop_reason, steps = f"step-error: {e}", ()
-    for _ in steps:
-        try:
-            x = ManifoldPoint(m, _step_along(m, x.coords, g.coords, g_norm, eta))
-        except (ManifoldError, StepSizeError) as e:
-            stop_reason = f"step-error: {e}"
-            break
-        value, g = obj.value(x), obj.gradient(x)
+    # iterates past a failing record are computed, and may overflow, before they are dropped
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if region is not None and dist(region.center, x0) > region.radius + REGION_EXIT_TOL:
+            raise ValueError("x0 lies outside the declared region")
+        value, g = obj.value(x0), obj.gradient(x0)
         g_norm = g.norm()
-        iterates.append((x, value, g_norm))
         if not (math.isfinite(value) and math.isfinite(g_norm)):
-            stop_reason = "non-finite-value"
-            break
+            raise ObjectiveError(f"objective '{obj.id}' is not finite at x0 (value {value}, gradient norm {g_norm})")
+        c, gc = x0.coords, g.coords
+        coords, grads, records = [c], [gc], [(value, g_norm)]  # one entry per record
+        stop_reason, steps = "completed", range(n_steps)
+        try:
+            _check_eta(eta)
+        except StepSizeError as e:
+            stop_reason, steps = f"step-error: {e}", ()
+        for _ in steps:
+            try:
+                c = _step_along(m, c, gc, g_norm, eta)
+            except (ManifoldError, StepSizeError) as e:
+                stop_reason = f"step-error: {e}"
+                break
+            try:
+                value, gc = float(obj.value_fn(c)), np.asarray(obj.gradient_fn(c), dtype=float)
+            except (ArithmeticError, ValueError):
+                bad = _first_bad_row(m, c[None])  # at a point that fails its check, say math.sin(inf)
+                if bad is None:
+                    raise
+                stop_reason = f"step-error: {bad[1]}"
+                break
+            if gc.shape != c.shape:
+                raise ObjectiveError(f"objective '{obj.id}' returned a gradient of shape {gc.shape}, not {c.shape}")
+            g_norm = math.sqrt(max(m._inner(c, gc, gc), 0.0))
+            coords.append(c)
+            grads.append(gc)
+            records.append((value, g_norm))
+            if not (math.isfinite(value) and math.isfinite(g_norm)):
+                stop_reason = "non-finite-value"
+                break
 
-    coords = np.array([it[0].coords for it in iterates])
-    dists = m._dist(coords, obj.metadata.minimizer.coords).tolist()
-    exited = ()
-    if region is not None:
-        outside = m._dist(region.center.coords, coords[1:]) > region.radius + REGION_EXIT_TOL
-        exited = tuple((np.flatnonzero(outside) + 1).tolist())
+        coords, grads = np.array(coords), np.array(grads)  # stacked, and the lists of rows freed
+        coords.setflags(write=False)
+        end = len(coords)
+        bad = _first_bad_row(m, coords[1:])
+        if bad is not None:
+            end, stop_reason = bad[0] + 1, f"step-error: {bad[1]}"
+        bad = _first_bad_row(m, coords[:end], grads[:end])
+        if bad is not None:
+            end, stop_reason = bad[0] + 1, f"gradient-error: {bad[1]}"
+        coords = coords[:end]
+        dists = m._dist(coords, obj.metadata.minimizer.coords).tolist()
+        exited = ()
+        if region is not None:
+            outside = m._dist(region.center.coords, coords[1:]) > region.radius + REGION_EXIT_TOL
+            exited = tuple((np.flatnonzero(outside) + 1).tolist())
     return Trajectory(
         objective_id=obj.id,
         policy=policy,
         seed=seed,
-        steps=tuple(StepRecord(i, *it, d, eta) for i, (it, d) in enumerate(zip(iterates, dists))),
+        steps=tuple(
+            StepRecord(i, ManifoldPoint._from_checked(m, row), *rec, d, eta)
+            for i, (row, rec, d) in enumerate(zip(coords, records, dists))
+        ),
         stop_reason=stop_reason,
         exited_region=exited,
     )

@@ -595,6 +595,15 @@ class ManifoldPoint:
     def __post_init__(self):
         object.__setattr__(self, "coords", _checked_point(self.manifold, self.coords))
 
+    @classmethod
+    def _from_checked(cls, manifold: Manifold, coords: np.ndarray) -> "ManifoldPoint":
+        """A point built with no check and no copy: only for coords that passed the point
+        check and cannot change, such as a row of a read-only array the row check accepted."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "manifold", manifold)  # not __dict__, which would build a dict per point
+        object.__setattr__(p, "coords", coords)
+        return p
+
     def __repr__(self) -> str:
         return f"ManifoldPoint({self.manifold!r}, {np.array2string(self.coords, precision=6)})"
 
@@ -737,6 +746,20 @@ def _draw_coords(region: Region, n: int, directions: np.random.Generator,
     return m._exp(c, (radius / nrm)[:, None] * t)
 
 
+def _first_bad_row(m: Manifold, c: np.ndarray, v: np.ndarray | None = None):
+    """(i, error) for the first row i that fails _require_rows' row check, error being the
+    one the 1-d check raises for row i (a generic one if it passes); None if none fails."""
+    ok = m._points_ok(c) if v is None else m._tangents_ok(c, v)
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    try:
+        _checked_point(m, c[i]) if v is None else TangentVector(ManifoldPoint(m, c[i]), v[i])
+    except ManifoldError as e:
+        return i, e
+    return i, ManifoldError(f"row {i} fails the {'point' if v is None else 'tangent'} check")
+
+
 def _require_rows(m: Manifold, c: np.ndarray, v: np.ndarray | None = None) -> None:
     """The row form of the point check of each row of c or, given v, of the tangent check
     of each row of v at the same row of c. Raises the 1-d check's error for the first row
@@ -744,14 +767,9 @@ def _require_rows(m: Manifold, c: np.ndarray, v: np.ndarray | None = None) -> No
     rows = c if v is None else v
     if rows.shape != (c.shape[0], m.ambient_dim):
         raise ManifoldError(f"rows have shape {rows.shape}, expected ({c.shape[0]}, {m.ambient_dim})")
-    ok = m._points_ok(c) if v is None else m._tangents_ok(c, v)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        if v is None:
-            _checked_point(m, c[i])
-        else:
-            TangentVector(ManifoldPoint(m, c[i]), v[i])
-        raise ManifoldError(f"row {i} fails the {'point' if v is None else 'tangent'} check")
+    bad = _first_bad_row(m, c, v)
+    if bad is not None:
+        raise bad[1]
 
 
 def sample_point(region: Region, rng: np.random.Generator) -> ManifoldPoint:

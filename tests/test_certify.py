@@ -385,7 +385,8 @@ def count_rows(monkeypatch, owner, name):
 def test_pipelines_validate_each_point_and_gradient_once(monkeypatch, kind):
     # certify: the drawn rows, then the stepped rows, through the row point
     # check, and the gradient rows through the row tangent check, once each;
-    # run: the stepped point and its gradient per step
+    # run: x0's gradient on entry, then the stepped rows and every record's
+    # gradient row after the loop, with no point or tangent built per step
     make, radius, gamma = FOUR_GEOMETRIES[kind]
     obj = make()
     region = Region(obj.metadata.minimizer, radius)
@@ -397,11 +398,12 @@ def test_pipelines_validate_each_point_and_gradient_once(monkeypatch, kind):
     certify_region(obj, region, "auto", 50, seed=3, gamma_override=gamma)
     assert (point_rows, tangent_rows) == ([50, 50], [50])
     assert (len(points), len(tangents)) == (0, 0)
-    points.clear()
-    tangents.clear()
+    for counted in (point_rows, tangent_rows, points, tangents):
+        counted.clear()
     traj = run(obj, x0, StepSizePolicy(mode="fixed", eta=0.1), 20, region=region)
     assert traj.stop_reason == "completed"
-    assert (len(points), len(tangents)) == (20, 21)
+    assert (point_rows, tangent_rows) == ([20], [21])
+    assert (len(points), len(tangents)) == (0, 1)
 
 
 @contextmanager

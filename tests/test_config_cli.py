@@ -343,6 +343,24 @@ def test_cli_run_divergence_exit(tmp_path, capsys):
     assert "run diverged" in err or "run aborted" in err
 
 
+def test_cli_run_writes_the_trajectory_when_a_gradient_overflows(tmp_path, capsys):
+    # inside radius 4, eta 1e307 keeps x1 finite, but the gradient 4 * x1 overflows
+    cfg = write_doc(tmp_path, quad_doc(region={"radius": 4.0}, eta=1e307, n_steps=5, out=str(tmp_path / "run")))
+    assert main(["run", "--config", cfg]) == 1
+    assert "run aborted: gradient-error: tangent coordinates must be finite" in capsys.readouterr().err
+    doc = json.loads((tmp_path / "run" / "trajectory.json").read_text())
+    assert doc["stop_reason"] == "gradient-error: tangent coordinates must be finite"
+    assert len(doc["steps"]) == 2
+
+
+def test_cli_run_non_finite_start_exit_three(tmp_path, capsys):
+    huge = {"id": "quad_euclidean", "params": {"q": [[1e307, 0.0], [0.0, 1e307]], "minimizer": [0.0, 0.0]}}
+    cfg = write_doc(tmp_path, quad_doc(objective=huge, eta=0.1, out=str(tmp_path / "run")))
+    assert main(["run", "--config", cfg]) == 3
+    assert "not finite at x0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_run_from_degenerate_region(tmp_path, capsys):
     cfg = write_doc(tmp_path, quad_doc(region={"radius": 0.0}, eta=0.25, out=str(tmp_path / "run")))
     assert main(["run", "--config", cfg]) == 0

@@ -1,6 +1,8 @@
 """Steppers, step-size policies, trajectory recording, contraction measurement."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from geodescent.descent import (
 )
 from geodescent.manifolds import ManifoldError, Region, dist, sample_point
 from geodescent.objectives import (
-    Objective,
     ObjectiveError,
     perturbed_quad,
     quad_euclidean,
@@ -210,7 +211,6 @@ def test_run_aborts_on_step_error():
     assert len(traj.steps) == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_run_aborts_on_non_finite_value():
     obj = quad_euclidean(Q14, [1.0, 1.0])
     traj = run(obj, obj.manifold.point([2.0, 2.0]), StepSizePolicy(mode="fixed", eta=1e160), 10)
@@ -250,22 +250,97 @@ def test_run_rejects_a_start_on_another_manifold():
         run(obj, rayleigh_sphere(np.diag([3.0, 1.0])).metadata.minimizer, StepSizePolicy(mode="fixed", eta=0.1), 3)
 
 
+def test_run_ends_at_an_overflowing_gradient_and_keeps_its_record():
+    # x1 is finite, but the gradient 4 * x1 overflows its second coordinate
+    obj = quad_euclidean(Q14, [0.0, 0.0])
+    traj = run(obj, obj.manifold.point([2.0, 2.0]), StepSizePolicy(mode="fixed", eta=1e307), 5)
+    assert traj.stop_reason == "gradient-error: tangent coordinates must be finite"
+    assert len(traj.steps) == 2
+    assert np.array_equal(traj.steps[1].point.coords, [2.0 - 2e307, 2.0 - 8e307])
+    assert traj.steps[1].gradient_norm == math.inf
+
+
+def test_run_rejects_a_start_with_a_non_finite_value():
+    obj = quad_euclidean(Q14, [0.0, 0.0])
+    with pytest.raises(ObjectiveError, match="not finite at x0"):
+        run(obj, obj.manifold.point([1e155, 1e155]), StepSizePolicy(mode="fixed", eta=0.1), 5)
+
+
+def test_run_stops_where_the_objective_raises_at_a_point_that_fails_its_check():
+    # the step overflows to -inf, where the 1-d perturbed_quad value calls math.sin(-inf)
+    obj = perturbed_quad(Q14, [0.0, 0.0], epsilon=0.1)
+    traj = run(obj, obj.manifold.point([2.0, 2.0]), StepSizePolicy(mode="fixed", eta=1e308), 5)
+    assert traj.stop_reason == "step-error: point coordinates must be finite"
+    assert len(traj.steps) == 1
+
+
+def test_run_rejects_a_gradient_of_the_wrong_shape_at_a_later_iterate():
+    obj = quad_euclidean(Q14, [0.0, 0.0])
+    calls = []
+
+    def short_after_the_start(c):
+        calls.append(1)
+        return obj.gradient_fn(c)[: 2 if len(calls) == 1 else 1]
+
+    with pytest.raises(ObjectiveError, match=r"gradient of shape \(1,\)"):
+        run(replace(obj, gradient_fn=short_after_the_start), obj.manifold.point([1.0, 1.0]),
+            StepSizePolicy(mode="fixed", eta=0.1), 5)
+
+
+def test_run_records_read_only_points_on_the_objective_manifold():
+    obj = sqdist_hyperboloid([0.3, -0.4, math.sqrt(1.25)])
+    x0 = sample_point(Region(obj.metadata.minimizer, 2.0), np.random.default_rng(3))
+    traj = run(obj, x0, StepSizePolicy(mode="fixed", eta=0.3), 5)
+    assert np.array_equal(traj.steps[0].point.coords, x0.coords)
+    for rec in traj.steps:
+        assert rec.point.manifold is obj.manifold
+        assert not rec.point.coords.flags.writeable
+        with pytest.raises(ValueError):
+            rec.point.coords[0] = 0.0
+
+
+def test_run_stop_paths_raise_no_runtime_warning():
+    quad = quad_euclidean(Q14, [0.0, 0.0])
+    hyp = sqdist_hyperboloid([0.0, 0.0, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eta, reason in ((1e160, "non-finite-value"), (1e307, "gradient-error:")):
+            traj = run(quad, quad.manifold.point([2.0, 2.0]), StepSizePolicy(mode="fixed", eta=eta), 5,
+                       region=Region(quad.metadata.minimizer, 3.0))
+            assert traj.stop_reason.startswith(reason)
+        traj = run(hyp, hyp.manifold.point([2.0, 0.0, 0.0, math.sqrt(5.0)]),
+                   StepSizePolicy(mode="fixed", eta=2.5), 30, region=Region(hyp.metadata.minimizer, 2.0))
+        assert traj.stop_reason.startswith("step-error: hyperboloid point")
+        with pytest.raises(ObjectiveError):
+            run(quad, quad.manifold.point([1e155, 1e155]), StepSizePolicy(mode="fixed", eta=0.1), 5)
+
+
 def _oracle_run(obj, x0, eta, n_steps, region):
     """run() rebuilt one step at a time from the public checked API."""
-    star, points, exited, stop_reason = obj.metadata.minimizer, [x0], [], "completed"
+    star, x, exited, stop_reason = obj.metadata.minimizer, x0, [], "completed"
+    records = [(x0.coords, obj.value(x0), obj.gradient(x0).norm(), dist(x0, star))]
     for i in range(1, n_steps + 1):
         try:
-            x = rgd_step(obj, points[-1], eta)
+            x = rgd_step(obj, x, eta)
         except (ManifoldError, StepSizeError) as e:
             stop_reason = f"step-error: {e}"
             break
-        points.append(x)
         if region is not None and dist(region.center, x) > region.radius + REGION_EXIT_TOL:
             exited.append(i)
-        if not (math.isfinite(obj.value(x)) and math.isfinite(obj.gradient(x).norm())):
+        value = obj.value(x)
+        try:
+            g_norm = obj.gradient(x).norm()
+        except ManifoldError as e:
+            # the record is kept, with the norm of the gradient that failed its check
+            g = obj.gradient_fn(x.coords)
+            g_norm = math.sqrt(max(obj.manifold._inner(x.coords, g, g), 0.0))
+            stop_reason = f"gradient-error: {e}"
+        records.append((x.coords, value, g_norm, dist(x, star)))
+        if stop_reason != "completed":
+            break
+        if not (math.isfinite(value) and math.isfinite(g_norm)):
             stop_reason = "non-finite-value"
             break
-    records = [(p.coords, obj.value(p), obj.gradient(p).norm(), dist(p, star)) for p in points]
     return records, stop_reason, tuple(exited)
 
 
@@ -281,10 +356,11 @@ RUN_OBJECTIVES = (
 @pytest.mark.parametrize("obj", RUN_OBJECTIVES, ids=lambda obj: obj.manifold.kind)
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 25),
-       eta=st.sampled_from([0.05, 0.3, 0.9, 1.9, 2.5, 10.0, 1e6, 1e160]), with_region=st.booleans())
+       eta=st.sampled_from([0.05, 0.3, 0.9, 1.9, 2.5, 10.0, 1e6, 1e160, 1e307]), with_region=st.booleans())
 def test_run_matches_the_step_by_step_oracle(obj, seed, n_steps, eta, with_region):
     # large etas cover region exits, the sphere's pi guard, the hyperboloid chart
-    # cap after several steps and non-finite values on the flat geometries
+    # cap after several steps, and non-finite values and overflowing gradients on
+    # the flat geometries
     region = Region(obj.metadata.minimizer, 0.5 if obj.manifold.kind == "sphere" else 2.0)
     x0 = sample_point(region, np.random.default_rng(seed))
     traj = run(obj, x0, StepSizePolicy(mode="fixed", eta=eta), n_steps, region=region if with_region else None)
@@ -301,19 +377,19 @@ def test_run_matches_the_step_by_step_oracle(obj, seed, n_steps, eta, with_regio
     oracles.assert_rows_match(traj.distances[differ], dists[differ])
 
 
-def test_run_evaluates_one_gradient_per_iterate(monkeypatch):
+def test_run_evaluates_one_gradient_per_iterate():
+    # the shapes passed to gradient_fn: one single-point call per record
     obj = quad_euclidean(Q14, [0.0, 0.0])
-    calls = []
-    real = Objective.gradient
+    shapes = []
 
-    def counted(self, x):
-        calls.append(1)
-        return real(self, x)
+    def counted(c):
+        shapes.append(c.shape)
+        return obj.gradient_fn(c)
 
-    monkeypatch.setattr(Objective, "gradient", counted)
-    traj = run(obj, obj.manifold.point([1.0, -2.0]), StepSizePolicy(mode="fixed", eta=0.1), 20)
+    traj = run(replace(obj, gradient_fn=counted), obj.manifold.point([1.0, -2.0]),
+               StepSizePolicy(mode="fixed", eta=0.1), 20)
     assert len(traj.steps) == 21
-    assert len(calls) == 21
+    assert shapes == [(2,)] * 21
 
 
 def test_run_validates_n_steps():
