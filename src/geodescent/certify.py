@@ -288,14 +288,17 @@ def certify_region(
     per-point infimum, so one (a, mu) pair is sound for every sample), then
     evaluate the defining residual at all samples. Verdict is ternary:
     certified / refuted (negative residual, with witness) / inconclusive
-    (contraction hypothesis failed, constants degenerate, or steps errored).
+    (contraction hypothesis failed, constants degenerate, steps errored, or a
+    number overflowed).
 
     eta = "auto" applies descent.auto_step_policy with the gamma resolved
     here. workers is validated and never changes the result: all samples are
     probed at once, as the rows of one array, on the calling thread.
 
     A drawn point or gradient that fails its check raises; step and log errors
-    during probing become flags, never exceptions. residual_mean is the
+    during probing become flags, never exceptions, and so does a drawn row's
+    value, distance, gradient norm, measured ratio or residual that is not
+    finite ("non-finite-value"), so a certificate holds no inf or NaN. residual_mean is the
     exactly rounded mean (math.fsum), so it depends on no summation order.
     """
     if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 1:
@@ -373,20 +376,22 @@ def certify_region(
     _require_rows(m, x)
     g = np.asarray(obj.gradient_fn(x), dtype=float)
     _require_rows(m, x, g)
-    value = np.asarray(obj.value_fn(x), dtype=float)
-    if value.shape != (n_samples,):
-        raise CertificationError(f"value_fn returned shape {value.shape} for {n_samples} rows")
-    d = m._dist(x, xstar.coords)
-    grad_norm = np.sqrt(np.maximum(m._inner(x, g, g), 0.0))
-    try:
-        pull = _pull(m, x, g, xstar.coords)
-    except ManifoldError:
-        pull = None
-    stepped = m._exp(x, -eta * g)
-    stepped_ok = m._points_ok(stepped)
-    measured = stepped_ok & (d > CONTRACTION_SCAN_FLOOR)
-    # rows that failed their check may be NaN or huge; only masked use is made of them
+    # rows far from x* may overflow, and stepped rows that failed their check may be
+    # NaN or huge: only masked use is made of those, and the run ends "inconclusive"
+    # below if any drawn row's value, distance, gradient norm or measured ratio is not finite
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = np.asarray(obj.value_fn(x), dtype=float)
+        if value.shape != (n_samples,):
+            raise CertificationError(f"value_fn returned shape {value.shape} for {n_samples} rows")
+        d = m._dist(x, xstar.coords)
+        grad_norm = np.sqrt(np.maximum(m._inner(x, g, g), 0.0))
+        try:
+            pull = _pull(m, x, g, xstar.coords)
+        except ManifoldError:
+            pull = None
+        stepped = m._exp(x, -eta * g)
+        stepped_ok = m._points_ok(stepped)
+        measured = stepped_ok & (d > CONTRACTION_SCAN_FLOOR)
         exited = stepped_ok & (m._dist(region.center.coords, stepped) > region.radius + REGION_EXIT_TOL)
         ratio = np.where(measured, (m._dist(stepped, xstar.coords) / d) ** 2, -np.inf)
 
@@ -397,6 +402,9 @@ def certify_region(
     if np.any((grad_norm < CRITICAL_POINT_GRAD_TOL) & (d > CRITICAL_POINT_DIST_TOL)):
         flags.add("critical-point-suspect")
 
+    if not all(np.isfinite(part).all() for part in (value, d, grad_norm, ratio[measured])):
+        flags.add("non-finite-value")
+        return finish("inconclusive")
     if not measured.any():
         return finish("inconclusive")
     worst_idx = int(np.argmax(ratio))
@@ -424,12 +432,20 @@ def certify_region(
         return finish("inconclusive", delta_bar_used=delta_bar_used, worst=worst,
                       c_obs=c_obs, a=a, mu=mu, consistency=consistency)
     # residual stage, one pass over the rows
-    residuals = _residual(pull, d, value, fstar, a, mu)
-    scaled = residuals / np.maximum(np.maximum(1.0, np.abs(value - fstar)), d ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = _residual(pull, d, value, fstar, a, mu)
+        scaled = residuals / np.maximum(np.maximum(1.0, np.abs(value - fstar)), d ** 2)
+    try:
+        res_mean = math.fsum(residuals.tolist()) / n_samples
+    except (OverflowError, ValueError):  # finite residuals whose sum overflows, or inf - inf
+        res_mean = math.nan
+    if not math.isfinite(res_mean):  # so is a residual, or their sum
+        flags.add("non-finite-value")
+        return finish("inconclusive", delta_bar_used=delta_bar_used, worst=worst,
+                      c_obs=c_obs, a=a, mu=mu, consistency=consistency)
     min_idx = int(np.argmin(scaled))
 
     res_min = float(residuals.min())
-    res_mean = math.fsum(residuals.tolist()) / n_samples
     res_min_scaled = float(scaled[min_idx])
 
     if res_min_scaled >= -tol_residual:

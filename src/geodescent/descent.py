@@ -123,12 +123,18 @@ class StepRecord:
     eta_used: float
 
 
+def _finite_or_none(x: float) -> Optional[float]:
+    """x for JSON, which has no inf or NaN: None (null) where x is not finite."""
+    return x if math.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Immutable record of one descent run.
 
     exited_region lists the record indices (if a region was declared) whose
-    points lie outside it; iterates are never projected back.
+    points lie outside it; iterates are never projected back. to_json_dict
+    writes a non-finite value, gradient norm, distance or eta as None.
     """
 
     objective_id: str
@@ -153,10 +159,10 @@ class Trajectory:
                 {
                     "index": rec.index,
                     "coords": [float(c) for c in rec.point.coords],
-                    "value": rec.value,
-                    "gradient_norm": rec.gradient_norm,
-                    "dist_to_min": rec.dist_to_min,
-                    "eta_used": rec.eta_used,
+                    "value": _finite_or_none(rec.value),
+                    "gradient_norm": _finite_or_none(rec.gradient_norm),
+                    "dist_to_min": _finite_or_none(rec.dist_to_min),
+                    "eta_used": _finite_or_none(rec.eta_used),
                 }
                 for rec in self.steps
             ],
@@ -215,17 +221,21 @@ def run(
     """Riemannian gradient descent from x0 with the policy's eta, recording every iterate.
 
     Takes up to n_steps steps x <- exp_x(-eta * grad f(x)), the step of rgd_step,
-    on raw coordinates. x0, its gradient and eta are checked before the loop (a
-    non-finite start value or gradient norm, or a gradient of the wrong shape,
-    raises ObjectiveError); the stepped points and the gradients after it, in
-    one row pass each, as are the distances and region exits. stop_reason is
-    "completed" or names the earliest failure, which ends the trajectory; at one
-    record, "step-error: <message>" (a bad eta, a step the kernel refuses, or a
-    stepped point that fails its check; the point is dropped) ranks before
-    "gradient-error: <message>" (a gradient that fails its check, say by
-    overflowing; the record is kept), and that before "non-finite-value" (a
-    non-finite value or gradient norm; the record is kept). Each message is the
-    single-point check's.
+    on raw coordinates; a step needs only the gradient. x0, its value and
+    gradient and eta are checked before the loop (a non-finite start value or
+    gradient norm, or a gradient of the wrong shape, raises ObjectiveError).
+    After it come one row pass each over the stepped points and the gradients,
+    then one row call of value_fn for the values of the kept stepped iterates
+    (on the hyperboloid and perturbed_quad these may differ from the
+    single-point values within roundoff), then the distances and region exits.
+    stop_reason is "completed" or names the earliest failure, which ends the
+    trajectory; at one record, "step-error: <message>" (a bad eta, a step the
+    kernel refuses, or a stepped point that fails its check; the point is
+    dropped) ranks before "gradient-error: <message>" (a gradient that fails
+    its check, say by overflowing; the record is kept), and that before
+    "non-finite-value" (a non-finite value or gradient norm; the record is
+    kept). A non-finite value at a record also ranks before any stop met on a
+    step taken from it or later. Each message is the single-point check's.
     """
     if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
@@ -240,7 +250,7 @@ def run(
         if not (math.isfinite(value) and math.isfinite(g_norm)):
             raise ObjectiveError(f"objective '{obj.id}' is not finite at x0 (value {value}, gradient norm {g_norm})")
         c, gc = x0.coords, g.coords
-        coords, grads, records = [c], [gc], [(value, g_norm)]  # one entry per record
+        coords, grads, norms = [c], [gc], [g_norm]  # one entry per record
         stop_reason, steps = "completed", range(n_steps)
         try:
             _check_eta(eta)
@@ -253,7 +263,7 @@ def run(
                 stop_reason = f"step-error: {e}"
                 break
             try:
-                value, gc = float(obj.value_fn(c)), np.asarray(obj.gradient_fn(c), dtype=float)
+                gc = np.asarray(obj.gradient_fn(c), dtype=float)
             except (ArithmeticError, ValueError):
                 bad = _first_bad_row(m, c[None])  # at a point that fails its check, say math.sin(inf)
                 if bad is None:
@@ -265,10 +275,9 @@ def run(
             g_norm = math.sqrt(max(m._inner(c, gc, gc), 0.0))
             coords.append(c)
             grads.append(gc)
-            records.append((value, g_norm))
-            if not (math.isfinite(value) and math.isfinite(g_norm)):
-                stop_reason = "non-finite-value"
-                break
+            norms.append(g_norm)
+            if not math.isfinite(g_norm):
+                break  # ends as non-finite-value below
 
         coords, grads = np.array(coords), np.array(grads)  # stacked, and the lists of rows freed
         coords.setflags(write=False)
@@ -280,6 +289,18 @@ def run(
         if bad is not None:
             end, stop_reason = bad[0] + 1, f"gradient-error: {bad[1]}"
         coords = coords[:end]
+        values = [value]
+        if end > 1:
+            stepped = np.asarray(obj.value_fn(coords[1:]), dtype=float)
+            if stepped.shape != (end - 1,):
+                raise ObjectiveError(f"objective '{obj.id}' returned values of shape {stepped.shape} for {end - 1} rows")
+            values += stepped.tolist()
+        # a gradient that fails its check ranks before a non-finite value at its record
+        finite = np.isfinite(values) & np.isfinite(norms[:end])
+        first = int(np.argmin(finite))
+        if not finite[first] and (first < end - 1 or not stop_reason.startswith("gradient-error")):
+            end, stop_reason = first + 1, "non-finite-value"
+            coords = coords[:end]
         dists = m._dist(coords, obj.metadata.minimizer.coords).tolist()
         exited = ()
         if region is not None:
@@ -290,8 +311,8 @@ def run(
         policy=policy,
         seed=seed,
         steps=tuple(
-            StepRecord(i, ManifoldPoint._from_checked(m, row), *rec, d, eta)
-            for i, (row, rec, d) in enumerate(zip(coords, records, dists))
+            StepRecord(i, ManifoldPoint._from_checked(m, row), f, g_norm, d, eta)
+            for i, (row, f, g_norm, d) in enumerate(zip(coords, values, norms, dists))
         ),
         stop_reason=stop_reason,
         exited_region=exited,

@@ -2,7 +2,9 @@
 
 Written files carry a created_at timestamp; the canonical form used for
 determinism comparisons strips it, sorts keys, and drops whitespace, so two
-runs of the same seeded experiment compare byte-for-byte.
+runs of the same seeded experiment compare byte-for-byte. Both are strict
+JSON, with no NaN or Infinity: a trajectory writes its non-finite numbers as
+null, and the CSV keeps them as inf and nan.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ def _write_json(doc: dict, out_dir: str, name: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     doc["created_at"] = _utc_now()
     path = os.path.join(out_dir, name)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 

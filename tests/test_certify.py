@@ -49,6 +49,7 @@ from geodescent.objectives import (
     rayleigh_sphere,
     sqdist_hyperboloid,
 )
+from geodescent.reporting import canonical_json
 
 Q14 = np.diag([1.0, 4.0])
 
@@ -303,6 +304,15 @@ def test_certify_all_steps_error_is_inconclusive():
     assert cert.verdict == "inconclusive"
     assert "step-error" in cert.flags
     assert cert.c_obs is None
+    # so is a region so wide that values, gradient norms or ratios overflow; the
+    # certificate holds no inf or NaN, and no RuntimeWarning escapes
+    obj = quad()
+    for radius in (1e154, 1e160):
+        cert = certify_region(obj, Region(obj.metadata.minimizer, radius), 0.25, 50, seed=1)
+        assert cert.verdict == "inconclusive"
+        assert "non-finite-value" in cert.flags
+        assert (cert.c_obs, cert.residual_min, cert.residual_mean) == (None, None, None)
+        canonical_json(cert.to_json_dict())
 
 
 def test_certify_flags_region_exit():

@@ -36,6 +36,15 @@ def write_doc(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def strict_json(path) -> dict:
+    """The JSON file at path, refusing the NaN / Infinity extension."""
+    return json.loads(path.read_text(), parse_constant=_refuse)
+
+
 # -------------------------------------------------------------------- config
 
 
@@ -282,6 +291,12 @@ def test_cli_certify_inconclusive_exit(tmp_path):
         out=str(tmp_path / "out"),
     )
     assert main(["certify", "--config", write_doc(tmp_path, doc), "--quiet"]) == 2
+    # values that overflow make a certificate inconclusive too, written as strict JSON
+    for radius in (1e154, 1e160):
+        doc = quad_doc(region={"radius": radius}, eta=0.25, n_samples=50, seed=1, out=str(tmp_path / str(radius)))
+        assert main(["certify", "--config", write_doc(tmp_path, doc), "--quiet"]) == 2
+        cert = strict_json(tmp_path / str(radius) / "certificate.json")
+        assert cert["verdict"] == "inconclusive" and "non-finite-value" in cert["flags"]
 
 
 def test_cli_certify_deterministic_across_runs_and_workers(tmp_path):
@@ -348,9 +363,10 @@ def test_cli_run_writes_the_trajectory_when_a_gradient_overflows(tmp_path, capsy
     cfg = write_doc(tmp_path, quad_doc(region={"radius": 4.0}, eta=1e307, n_steps=5, out=str(tmp_path / "run")))
     assert main(["run", "--config", cfg]) == 1
     assert "run aborted: gradient-error: tangent coordinates must be finite" in capsys.readouterr().err
-    doc = json.loads((tmp_path / "run" / "trajectory.json").read_text())
+    doc = strict_json(tmp_path / "run" / "trajectory.json")
     assert doc["stop_reason"] == "gradient-error: tangent coordinates must be finite"
     assert len(doc["steps"]) == 2
+    assert doc["steps"][1]["gradient_norm"] is None  # inf in the CSV
 
 
 def test_cli_run_non_finite_start_exit_three(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Steppers, step-size policies, trajectory recording, contraction measurement."""
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -32,6 +33,7 @@ from geodescent.objectives import (
     rayleigh_sphere,
     sqdist_hyperboloid,
 )
+from geodescent.reporting import canonical_json
 
 Q14 = np.diag([1.0, 4.0])
 
@@ -219,6 +221,10 @@ def test_run_aborts_on_non_finite_value():
     # the offending record is kept, and it is the only non-finite one
     assert not math.isfinite(traj.steps[-1].value)
     assert all(math.isfinite(rec.value) for rec in traj.steps[:-1])
+    # its JSON form, which canonical_json keeps strict (no NaN or Infinity), writes them as null
+    doc = json.loads(canonical_json(traj.to_json_dict()))
+    assert doc["steps"][-1]["value"] is None
+    assert all(step["value"] is not None for step in doc["steps"][:-1])
 
 
 def test_run_later_step_error_keeps_the_valid_iterates():
@@ -267,7 +273,7 @@ def test_run_rejects_a_start_with_a_non_finite_value():
 
 
 def test_run_stops_where_the_objective_raises_at_a_point_that_fails_its_check():
-    # the step overflows to -inf, where the 1-d perturbed_quad value calls math.sin(-inf)
+    # the step overflows to -inf, where the 1-d perturbed_quad gradient calls math.sin(-inf)
     obj = perturbed_quad(Q14, [0.0, 0.0], epsilon=0.1)
     traj = run(obj, obj.manifold.point([2.0, 2.0]), StepSizePolicy(mode="fixed", eta=1e308), 5)
     assert traj.stop_reason == "step-error: point coordinates must be finite"
@@ -368,28 +374,66 @@ def test_run_matches_the_step_by_step_oracle(obj, seed, n_steps, eta, with_regio
     assert (traj.stop_reason, traj.exited_region) == (stop_reason, exited)
     assert [rec.index for rec in traj.steps] == list(range(len(records)))
     assert all(rec.eta_used == eta for rec in traj.steps)
-    for rec, (coords, value, gradient_norm, _) in zip(traj.steps, records, strict=True):
+    for rec, (coords, _, gradient_norm, _) in zip(traj.steps, records, strict=True):
         assert np.array_equal(rec.point.coords, coords)
-        assert np.array_equal([rec.value, rec.gradient_norm], [value, gradient_norm], equal_nan=True)
-    # distances come from the row kernel: equal, or within roundoff of the 1-d one
+        assert np.array_equal(rec.gradient_norm, gradient_norm, equal_nan=True)
+    # values and distances come from row calls: the values equal the 1-d ones
+    # except on the hyperboloid, whose row arcsinh may round differently; there,
+    # as for every distance, equal or within roundoff of the 1-d one
+    values = np.array([rec.value for rec in traj.steps])
+    expected = np.array([value for _, value, *_ in records])
+    if obj.manifold.kind == "hyperboloid":
+        differ = values != expected
+        oracles.assert_rows_match(values[differ], expected[differ])
+    else:
+        assert np.array_equal(values, expected, equal_nan=True)
     dists = np.array([d for *_, d in records])
     differ = traj.distances != dists
     oracles.assert_rows_match(traj.distances[differ], dists[differ])
 
 
 def test_run_evaluates_one_gradient_per_iterate():
-    # the shapes passed to gradient_fn: one single-point call per record
+    # the shapes passed to gradient_fn: one single-point call per record; to
+    # value_fn: one for the start and one row call for the 20 stepped iterates
     obj = quad_euclidean(Q14, [0.0, 0.0])
-    shapes = []
+    shapes = {"gradient": [], "value": []}
 
-    def counted(c):
-        shapes.append(c.shape)
-        return obj.gradient_fn(c)
+    def counted(name, fn):
+        def wrapped(c):
+            shapes[name].append(c.shape)
+            return fn(c)
+        return wrapped
 
-    traj = run(replace(obj, gradient_fn=counted), obj.manifold.point([1.0, -2.0]),
-               StepSizePolicy(mode="fixed", eta=0.1), 20)
+    traj = run(replace(obj, gradient_fn=counted("gradient", obj.gradient_fn), value_fn=counted("value", obj.value_fn)),
+               obj.manifold.point([1.0, -2.0]), StepSizePolicy(mode="fixed", eta=0.1), 20)
     assert len(traj.steps) == 21
-    assert shapes == [(2,)] * 21
+    assert shapes == {"gradient": [(2,)] * 21, "value": [(2,), (20, 2)]}
+
+
+def test_run_ranks_a_non_finite_value_before_a_later_refused_step():
+    # the value is NaN at record 3, and a steep gradient there makes the sphere
+    # refuse the step from it; the trajectory ends at record 3
+    ray = rayleigh_sphere(np.diag([3.0, 2.5, 1.0]))
+    calls = []
+
+    def nan_at_record_3(c):
+        values = ray.value_fn(c)
+        if c.ndim == 2:
+            values[2] = math.nan
+        return values
+
+    def steep_at_record_3(c):
+        calls.append(1)
+        return ray.gradient_fn(c) * (1e6 if len(calls) == 4 else 1.0)
+
+    x0 = ray.manifold.point(np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0))
+    traj = run(replace(ray, value_fn=nan_at_record_3, gradient_fn=steep_at_record_3), x0,
+               StepSizePolicy(mode="fixed", eta=0.1), 10)
+    assert len(calls) == 4  # the loop itself stopped at the refused step from record 3
+    assert traj.stop_reason == "non-finite-value"
+    assert len(traj.steps) == 4
+    assert math.isnan(traj.steps[3].value)
+    assert all(math.isfinite(rec.value) for rec in traj.steps[:3])
 
 
 def test_run_validates_n_steps():

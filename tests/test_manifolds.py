@@ -480,6 +480,42 @@ def test_row_kernel_matches_the_1d_kernel_row_by_row(geometry, seed, n, shared, 
                              for p, w in zip(pts, np.concatenate((us[:1], ws[1:])))]
 
 
+def _round_trip_conditioning(m, x, y, t) -> float:
+    # how much roundoff the round trip may amplify: t / sin t near the sphere's
+    # antipode, the squared coordinates (and the step) elsewhere
+    if m.kind == "sphere":
+        return 1.0 + (t / math.sin(t) if t > 0.0 else 1.0)
+    return max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y)))) ** 2 * max(1.0, t)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(geometry=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8))
+def test_exp_log_round_trip_inside_the_trusted_domain(geometry, seed, fractions):
+    # log_x(exp_x(v)) = v and dist(x, exp_x(v)) = |v| in the 1-d and the row
+    # kernel, within ROW_ULPS roundoffs times the conditioning, for base points
+    # within distance 1 of the base point and steps shorter than: pi - 2 * guard
+    # on the sphere, so that the distance cannot round up to the log's guard at
+    # pi - guard; acosh(TIME_CAP) - 1 on the hyperboloid, so that every step
+    # stays in the trusted chart; 10 on the flat geometries
+    m = catalog()[geometry]
+    cap = {"sphere": math.pi - 2.0 * manifolds._ANTIPODE_GUARD,
+           "hyperboloid": math.acosh(Hyperboloid.TIME_CAP) - 1.0}.get(m.kind, 10.0)
+    rng = np.random.default_rng(seed)
+    pts = [rand_point(m, rng, 1.0) for _ in fractions]
+    xs = np.array([p.coords for p in pts])
+    vs = np.array([rand_tangent(p, rng, cap * f).coords for p, f in zip(pts, fractions)])
+    ys = m._exp(xs, vs)
+    logs, dists = m._log(xs, ys), m._dist(xs, ys)
+    for i, (x, v) in enumerate(zip(xs, vs)):
+        t = math.sqrt(max(m._inner(x, v, v), 0.0))
+        y = m._exp(x, v)
+        bound = oracles.ROW_ULPS * np.finfo(float).eps * _round_trip_conditioning(m, x, y, t)
+        for log, d in ((m._log(x, y), m._dist(x, y)), (logs[i], dists[i])):
+            assert np.max(np.abs(log - v)) <= bound, (m.kind, t, log, v)
+            assert abs(d - t) <= bound, (m.kind, t, d)
+
+
 def test_row_sphere_log_raises_if_any_row_is_antipodal():
     m = Sphere(2)
     xs = np.array([e(0, 3), e(1, 3), e(2, 3)])
