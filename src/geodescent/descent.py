@@ -222,12 +222,14 @@ def run(
 
     Takes up to n_steps steps x <- exp_x(-eta * grad f(x)), the step of rgd_step,
     on raw coordinates; a step needs only the gradient. x0, its value and
-    gradient and eta are checked before the loop (a non-finite start value or
-    gradient norm, or a gradient of the wrong shape, raises ObjectiveError).
-    After it come one row pass each over the stepped points and the gradients,
-    then one row call of value_fn for the values of the kept stepped iterates
-    (on the hyperboloid and perturbed_quad these may differ from the
-    single-point values within roundoff), then the distances and region exits.
+    gradient and eta are checked before the loop (an x0 farther from the
+    region's center than its radius, the distance overflowing included, raises
+    ManifoldError; a non-finite start value or gradient norm, or a gradient of
+    the wrong shape, raises ObjectiveError). After it come one row pass each
+    over the stepped points and the gradients, then one row call of value_fn
+    for the values of the kept stepped iterates (on the hyperboloid these may
+    differ from the single-point values within roundoff), then the distances
+    and region exits.
     stop_reason is "completed" or names the earliest failure, which ends the
     trajectory; at one record, "step-error: <message>" (a bad eta, a step the
     kernel refuses, or a stepped point that fails its check; the point is
@@ -243,8 +245,9 @@ def run(
     m = obj.manifold
     # iterates past a failing record are computed, and may overflow, before they are dropped
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if region is not None and dist(region.center, x0) > region.radius + REGION_EXIT_TOL:
-            raise ValueError("x0 lies outside the declared region")
+        if region is not None and (d0 := dist(region.center, x0)) > region.radius + REGION_EXIT_TOL:
+            raise ManifoldError(f"x0 lies outside the declared region: its distance {d0:.6g} "
+                                f"from the center exceeds the radius {region.radius:.6g}")
         value, g = obj.value(x0), obj.gradient(x0)
         g_norm = g.norm()
         if not (math.isfinite(value) and math.isfinite(g_norm)):

@@ -128,10 +128,10 @@ def _rmink(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _log_rows(d: np.ndarray, nw: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rows (d / nw) * w of a logarithm, zero where d or nw is below _DEGENERATE."""
+    """Rows (d / nw) * w of a logarithm (or one, given 1-d w), zero where d or nw is below _DEGENERATE."""
     keep = (d >= _DEGENERATE) & (nw >= _DEGENERATE)
     scale = np.divide(d, nw, out=np.zeros_like(d), where=keep)
-    return np.where(keep[:, None], scale[:, None] * w, 0.0)
+    return np.where(keep[..., None], scale[..., None] * w, 0.0)
 
 
 class Manifold:
@@ -172,27 +172,42 @@ class Manifold:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
 
-    # -- kernel methods on raw coordinate arrays -------------------------
+    # -- point and tangent contracts -------------------------------------
     #
-    # _inner, _dist, _exp, _log and _project also take (n, ambient) rows,
-    # chosen by ndim, and return one result per row (see the row helpers).
-    # Where the 1-d code raises for a step (_exp), the row code returns a NaN
-    # row instead, which the row point check rejects; _log raises if any row
-    # is undefined.
+    # Each geometry states its contracts once, as (mask, message) pairs over
+    # one 1-d point (a 0-d mask) or over (n, ambient) rows. The masks below
+    # and the single-point checks (_checked_point, _checked_tangent) both read
+    # them; a message may name {t}, the point's last coordinate.
 
-    def _check_point(self, c: np.ndarray) -> None:
-        raise NotImplementedError
+    def _point_contracts(self, c: np.ndarray) -> tuple:
+        return ()
 
-    def _check_tangent(self, x: np.ndarray, v: np.ndarray) -> None:
-        raise NotImplementedError
+    def _tangent_contracts(self, x: np.ndarray, v: np.ndarray) -> tuple:
+        return ()
 
     def _points_ok(self, c: np.ndarray) -> np.ndarray:
-        """Mask of the rows of c that are finite and pass _check_point."""
-        raise NotImplementedError
+        """Mask of the points of c (one point or rows) that are finite and meet every point contract."""
+        return _meets(np.isfinite(c).all(axis=-1), self._point_contracts(c))
 
     def _tangents_ok(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Mask of the rows of v that are finite and pass _check_tangent at the rows of x."""
-        raise NotImplementedError
+        """Mask of the vectors of v that are finite and meet every tangent contract at x."""
+        return _meets(np.isfinite(v).all(axis=-1), self._tangent_contracts(x, v))
+
+    # -- kernel methods on raw coordinate arrays -------------------------
+    #
+    # _inner, _dist, _exp, _log and _project take one point or (n, ambient)
+    # rows and return one result per row (see the row helpers); _transport
+    # takes one point. One point goes through the row code, except in the 1-d
+    # branches kept for the loops that call them once per point:
+    # - every step of descent.run: _inner, the sphere and hyperboloid _exp, the
+    #   gradient_fn of quad_euclidean, quad_flat_metric and rayleigh_sphere, and
+    #   the hyperboloid _log and _dist (sqdist_hyperboloid's gradient);
+    # - every pair of estimate_gamma, which a sphere certificate runs (the
+    #   sphere has no analytic gamma): the sphere _dist, _inner and _project
+    #   (in _transport), and rayleigh_sphere's gradient_fn.
+    # Where the 1-d code raises for a step (_exp), the row code returns a NaN
+    # row instead, which the point contracts reject; _log raises if any row is
+    # undefined.
 
     def _inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
         raise NotImplementedError
@@ -245,18 +260,6 @@ class Euclidean(Manifold):
     def curvature_bounds(self) -> tuple[float, float]:
         return (0.0, 0.0)
 
-    def _check_point(self, c):
-        pass
-
-    def _check_tangent(self, x, v):
-        pass
-
-    def _points_ok(self, c):
-        return np.isfinite(c).all(axis=-1)
-
-    def _tangents_ok(self, x, v):
-        return np.isfinite(v).all(axis=-1)
-
     def _inner(self, x, u, v):
         if u.ndim == 1 and v.ndim == 1:
             return float(u @ v)
@@ -269,8 +272,6 @@ class Euclidean(Manifold):
         return y - x
 
     def _dist(self, x, y):
-        if x.ndim == 1 and y.ndim == 1:
-            return _norm(y - x)
         z = y - x
         return np.sqrt(_rdot(z, z))
 
@@ -322,8 +323,6 @@ class FlatMetric(Euclidean):
 
     def _dist(self, x, y):
         z = y - x
-        if z.ndim == 1:
-            return math.sqrt(max(float(z @ self._metric @ z), 0.0))
         return np.sqrt(np.maximum(_rdot(_rvecmat(z, self._metric), z), 0.0))
 
     def _tangent_basis(self, x):
@@ -345,22 +344,13 @@ class Sphere(Manifold):
     def curvature_bounds(self) -> tuple[float, float]:
         return (1.0, 1.0)
 
-    def _check_point(self, c):
-        if abs(_norm(c) - 1.0) > POINT_TOL:
-            raise ManifoldError(f"sphere point must have unit norm within {POINT_TOL}")
+    def _point_contracts(self, c):
+        return ((np.abs(np.sqrt(_rdot(c, c)) - 1.0) <= POINT_TOL,
+                 f"sphere point must have unit norm within {POINT_TOL}"),)
 
-    def _check_tangent(self, x, v):
-        tol = TANGENT_TOL * max(1.0, _norm(v))
-        if abs(float(x @ v)) > tol:
-            raise ManifoldError("tangent vector is not orthogonal to the sphere point")
-
-    def _points_ok(self, c):
-        # a non-finite row has a non-finite norm, which fails the comparison
-        return np.abs(np.sqrt(_rdot(c, c)) - 1.0) <= POINT_TOL
-
-    def _tangents_ok(self, x, v):
+    def _tangent_contracts(self, x, v):
         tol = TANGENT_TOL * np.maximum(1.0, np.sqrt(_rdot(v, v)))
-        return np.isfinite(v).all(axis=-1) & (np.abs(_rdot(x, v)) <= tol)
+        return ((np.abs(_rdot(x, v)) <= tol, "tangent vector is not orthogonal to the sphere point"),)
 
     def _inner(self, x, u, v):
         if u.ndim == 1 and v.ndim == 1:
@@ -401,23 +391,12 @@ class Sphere(Manifold):
 
     def _log(self, x, y):
         d = self._dist(x, y)
-        if x.ndim == 1 and y.ndim == 1:
-            if d >= math.pi - _ANTIPODE_GUARD:
-                raise UndefinedLogarithmError(
-                    "sphere logarithm undefined: points are antipodal within guard"
-                )
-            w = y - float(x @ y) * x
-            w = w - float(x @ w) * x
-            nw = _norm(w)
-            if d < _DEGENERATE or nw < _DEGENERATE:
-                return np.zeros_like(x)
-            return (d / nw) * w
         if np.any(d >= math.pi - _ANTIPODE_GUARD):
             raise UndefinedLogarithmError(
                 "sphere logarithm undefined: points are antipodal within guard"
             )
-        w = y - _rdot(x, y)[:, None] * x
-        w = w - _rdot(x, w)[:, None] * x
+        w = y - _rdot(x, y)[..., None] * x
+        w = w - _rdot(x, w)[..., None] * x
         return _log_rows(d, np.sqrt(_rdot(w, w)), w)
 
     def _transport(self, x, y, v):
@@ -465,40 +444,26 @@ class Hyperboloid(Manifold):
     def curvature_bounds(self) -> tuple[float, float]:
         return (-1.0, -1.0)
 
-    def _check_point(self, c):
-        q, t = _mink(c, c), float(c[-1])
-        # the form of a representable point carries rounding ~eps * time^2,
-        # so the tolerance scales the same way (= fixed intrinsic accuracy);
-        # t * t overflows to inf where t ** 2 would raise OverflowError
-        tol = POINT_TOL * max(1.0, t * t)
-        if not math.isfinite(q) or abs(q + 1.0) > tol:
-            raise ManifoldError(
-                f"hyperboloid point must satisfy <x,x> = -1 within {POINT_TOL} relative to the squared time coordinate"
-            )
-        if t <= 0.0:
-            raise ManifoldError("hyperboloid point must lie on the upper sheet (last coordinate > 0)")
-        if t > self.TIME_CAP:
-            raise ManifoldError(
-                f"hyperboloid point time coordinate {t:.6g} exceeds the trusted chart limit "
-                f"{self.TIME_CAP:g} (metric resolution falls below 1e-9 beyond it)"
-            )
-
-    def _check_tangent(self, x, v):
-        tol = TANGENT_TOL * max(1.0, _norm(v)) * max(1.0, float(x[-1]))
-        if abs(_mink(x, v)) > tol:
-            raise ManifoldError("tangent vector is not Minkowski-orthogonal to the base point")
-
-    def _points_ok(self, c):
+    def _point_contracts(self, c):
         t = c[..., -1]
         with np.errstate(over="ignore", invalid="ignore"):
-            tol = POINT_TOL * np.maximum(1.0, t * t)
-            on_sheet = np.abs(_rmink(c, c) + 1.0) <= tol
-        return np.isfinite(c).all(axis=-1) & on_sheet & (t > 0.0) & (t <= self.TIME_CAP)
+            # the form of a representable point carries rounding ~eps * time^2,
+            # so the tolerance scales the same way (= fixed intrinsic accuracy);
+            # a form that overflows is off the sheet even where t * t does too
+            q = _rmink(c, c)
+            on_sheet = np.isfinite(q) & (np.abs(q + 1.0) <= POINT_TOL * np.maximum(1.0, t * t))
+        return (
+            (on_sheet, f"hyperboloid point must satisfy <x,x> = -1 within {POINT_TOL} "
+                       "relative to the squared time coordinate"),
+            (t > 0.0, "hyperboloid point must lie on the upper sheet (last coordinate > 0)"),
+            (t <= self.TIME_CAP, "hyperboloid point time coordinate {t:.6g} exceeds the trusted chart limit "
+                                 f"{self.TIME_CAP:g} (metric resolution falls below 1e-9 beyond it)"),
+        )
 
-    def _tangents_ok(self, x, v):
+    def _tangent_contracts(self, x, v):
         with np.errstate(over="ignore", invalid="ignore"):
             tol = TANGENT_TOL * np.maximum(1.0, np.sqrt(_rdot(v, v))) * np.maximum(1.0, x[..., -1])
-            return np.isfinite(v).all(axis=-1) & (np.abs(_rmink(x, v)) <= tol)
+            return ((np.abs(_rmink(x, v)) <= tol, "tangent vector is not Minkowski-orthogonal to the base point"),)
 
     def _inner(self, x, u, v):
         if u.ndim == 1 and v.ndim == 1:
@@ -570,9 +535,21 @@ class Hyperboloid(Manifold):
         return self._project(y, out)
 
     def _project(self, x, w):
-        if x.ndim == 1 and w.ndim == 1:
-            return w + _mink(x, w) * x
-        return w + _rmink(x, w)[:, None] * x
+        return w + _rmink(x, w)[..., None] * x
+
+
+def _meets(ok, contracts):
+    """ok and every mask of contracts."""
+    for met, _ in contracts:
+        ok = ok & met
+    return ok
+
+
+def _require_contracts(contracts, c: np.ndarray) -> None:
+    """Raise the message of the first contract that one point or vector fails."""
+    for met, message in contracts:
+        if not met:
+            raise ManifoldError(message.format(t=float(c[-1])))
 
 
 def _checked_point(m: Manifold, coords) -> np.ndarray:
@@ -580,7 +557,17 @@ def _checked_point(m: Manifold, coords) -> np.ndarray:
     c = _as_vector(coords, "point coordinates")
     if c.shape[0] != m.ambient_dim:
         raise ManifoldError(f"point has {c.shape[0]} coordinates, manifold is ambient-{m.ambient_dim}")
-    m._check_point(c)
+    _require_contracts(m._point_contracts(c), c)
+    c.setflags(write=False)
+    return c
+
+
+def _checked_tangent(m: Manifold, x: np.ndarray, coords) -> np.ndarray:
+    """The tangent check, once: a finite read-only copy of coords tangent to m at x."""
+    c = _as_vector(coords, "tangent coordinates")
+    if c.shape[0] != m.ambient_dim:
+        raise ManifoldError(f"tangent has {c.shape[0]} coordinates, manifold is ambient-{m.ambient_dim}")
+    _require_contracts(m._tangent_contracts(x, c), x)
     c.setflags(write=False)
     return c
 
@@ -616,14 +603,7 @@ class TangentVector:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = _as_vector(self.coords, "tangent coordinates")
-        if c.shape[0] != self.base.manifold.ambient_dim:
-            raise ManifoldError(
-                f"tangent has {c.shape[0]} coordinates, manifold is ambient-{self.base.manifold.ambient_dim}"
-            )
-        self.base.manifold._check_tangent(self.base.coords, c)
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
+        object.__setattr__(self, "coords", _checked_tangent(self.base.manifold, self.base.coords, self.coords))
 
     def norm(self) -> float:
         m = self.base.manifold
@@ -748,13 +728,13 @@ def _draw_coords(region: Region, n: int, directions: np.random.Generator,
 
 def _first_bad_row(m: Manifold, c: np.ndarray, v: np.ndarray | None = None):
     """(i, error) for the first row i that fails _require_rows' row check, error being the
-    one the 1-d check raises for row i (a generic one if it passes); None if none fails."""
+    one the single-point check raises for row i (a generic one if it passes); None if none fails."""
     ok = m._points_ok(c) if v is None else m._tangents_ok(c, v)
     if ok.all():
         return None
     i = int(np.argmin(ok))
     try:
-        _checked_point(m, c[i]) if v is None else TangentVector(ManifoldPoint(m, c[i]), v[i])
+        _checked_point(m, c[i]) if v is None else _checked_tangent(m, c[i], v[i])
     except ManifoldError as e:
         return i, e
     return i, ManifoldError(f"row {i} fails the {'point' if v is None else 'tangent'} check")

@@ -24,12 +24,13 @@ from .manifolds import (
     Region,
     Sphere,
     TangentVector,
+    _draw_coords,
     _rdot,
+    _require_rows,
     _rmatvec,
     _rvecmat,
     _symmetric_matrix,
     exp_map,
-    sample_point,
     tangent_basis,
 )
 
@@ -126,8 +127,6 @@ def quad_euclidean(q, minimizer) -> Objective:
 
     def value_fn(c: np.ndarray) -> float | np.ndarray:
         z = c - xstar.coords
-        if z.ndim == 1:
-            return 0.5 * float(z @ mat @ z)
         return 0.5 * _rdot(_rvecmat(z, mat), z)
 
     def gradient_fn(c: np.ndarray) -> np.ndarray:
@@ -172,8 +171,6 @@ def quad_flat_metric(q, minimizer, metric) -> Objective:
 
     def value_fn(c: np.ndarray) -> float | np.ndarray:
         z = c - xstar.coords
-        if z.ndim == 1:
-            return 0.5 * float(z @ mat @ z)
         return 0.5 * _rdot(_rvecmat(z, mat), z)
 
     def gradient_fn(c: np.ndarray) -> np.ndarray:
@@ -227,8 +224,6 @@ def rayleigh_sphere(matrix) -> Objective:
     xstar = manifold.point(v / np.linalg.norm(v))
 
     def value_fn(c: np.ndarray) -> float | np.ndarray:
-        if c.ndim == 1:
-            return -0.5 * float(c @ mat @ c)
         return -0.5 * _rdot(_rvecmat(c, mat), c)
 
     def gradient_fn(c: np.ndarray) -> np.ndarray:
@@ -313,19 +308,12 @@ def perturbed_quad(q, minimizer, epsilon: float | None = None, omega: float = 5.
 
     def value_fn(c: np.ndarray) -> float | np.ndarray:
         z = c - xstar.coords
-        if z.ndim == 1:
-            return 0.5 * float(z @ mat @ z) + eps * math.sin(om * z[0]) ** 2
-        return 0.5 * _rdot(_rvecmat(z, mat), z) + eps * np.sin(om * z[:, 0]) ** 2
+        return 0.5 * _rdot(_rvecmat(z, mat), z) + eps * np.sin(om * z[..., 0]) ** 2
 
     def gradient_fn(c: np.ndarray) -> np.ndarray:
         z = c - xstar.coords
-        if z.ndim == 1:
-            g = mat @ z
-            g = g.copy()
-            g[0] += eps * om * math.sin(2.0 * om * z[0])
-            return g
         g = _rmatvec(mat, z)
-        g[:, 0] += eps * om * np.sin(2.0 * om * z[:, 0])
+        g[..., 0] += eps * om * np.sin(2.0 * om * z[..., 0])
         return g
 
     obj = Objective(
@@ -395,11 +383,15 @@ def fd_gradient_oracle(obj: Objective, x: ManifoldPoint, h: float = 1e-5) -> Tan
 def estimate_gamma(obj: Objective, region: Region, n_pairs: int, rng: np.random.Generator) -> float:
     """Sampled geodesic smoothness constant with a 1.05 safety factor.
 
-    Draws n_pairs point pairs in the region (at distance >= PAIR_SEPARATION,
-    resampling closer pairs) and returns
+    Draws n_pairs point pairs in the region, one point at a time with
+    sample_point's draw (at distance >= PAIR_SEPARATION, redrawing the second
+    point of closer pairs), and returns the float
     1.05 * max ||grad f(x) - transport(grad f(y))|| / dist. A zero estimate
     (constant objective) is returned as exactly 0.0. Raises ObjectiveError when
-    200 redraws in a row land closer than PAIR_SEPARATION.
+    200 redraws in a row land closer than PAIR_SEPARATION. Every drawn point,
+    redraws included, goes through one row point check before any gradient is
+    taken, then the pairs' gradient_fn values through one row tangent check;
+    each raises the single-point check's error for the first failing row.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
@@ -408,16 +400,29 @@ def estimate_gamma(obj: Objective, region: Region, n_pairs: int, rng: np.random.
     if region.center.manifold != obj.manifold:
         raise ObjectiveError("region and objective live on different manifolds")
     m = obj.manifold
-    worst = 0.0
+    drawn, pairs = [], []  # every drawn row in draw order; (x index, y index, distance) per pair
+
+    def draw() -> int:
+        drawn.append(_draw_coords(region, 1, rng, rng)[0])
+        return len(drawn) - 1
+
     for _ in range(n_pairs):
-        x = sample_point(region, rng)
-        y = sample_point(region, rng)
+        i, j = draw(), draw()
         tries = 0
-        while m._dist(x.coords, y.coords) < PAIR_SEPARATION:
-            y = sample_point(region, rng)
+        while (d := float(m._dist(drawn[i], drawn[j]))) < PAIR_SEPARATION:
+            j = draw()
             tries += 1
             if tries > 200:
+                _require_rows(m, np.array(drawn))  # a point that fails its check ranks first
                 raise ObjectiveError("region is too small to draw separated sample pairs")
-        diff = obj.gradient(x).coords - m._transport(y.coords, x.coords, obj.gradient(y).coords)
-        worst = max(worst, math.sqrt(max(m._inner(x.coords, diff, diff), 0.0)) / m._dist(x.coords, y.coords))
+        pairs.append((i, j, d))
+    _require_rows(m, np.array(drawn))
+    x = np.array([drawn[k] for i, j, _ in pairs for k in (i, j)])  # x_1, y_1, x_2, y_2, ...
+    # one point at a time, as Objective.gradient: a row call of sqdist_hyperboloid rounds differently
+    g = np.array([obj.gradient_fn(row) for row in x], dtype=float)
+    _require_rows(m, x, g)
+    worst = 0.0
+    for k, (_, _, d) in enumerate(pairs):
+        diff = g[2 * k] - m._transport(x[2 * k + 1], x[2 * k], g[2 * k + 1])
+        worst = max(worst, math.sqrt(max(m._inner(x[2 * k], diff, diff), 0.0)) / d)
     return 1.05 * worst if worst > 0.0 else 0.0

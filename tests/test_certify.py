@@ -27,6 +27,7 @@ from geodescent.certify import (
 )
 from geodescent import certify as certify_module
 from geodescent import manifolds
+from geodescent import objectives as objectives_module
 from geodescent.cli import main
 from geodescent.config import parse_config
 from geodescent.descent import StepSizeError, StepSizePolicy, rgd_step, run
@@ -379,12 +380,14 @@ FOUR_GEOMETRIES = {
 
 
 def count_rows(monkeypatch, owner, name):
-    """Row count of the last array argument of each call of owner.name."""
+    """Row count of the last array argument of each row call of owner.name (one-point
+    checks are counted through the __post_init__ of the point or vector they build)."""
     rows = []
     real = getattr(owner, name)
 
     def counted(*args):
-        rows.append(len(args[-1]))
+        if args[-1].ndim == 2:
+            rows.append(len(args[-1]))
         return real(*args)
 
     monkeypatch.setattr(owner, name, counted)
@@ -396,7 +399,9 @@ def test_pipelines_validate_each_point_and_gradient_once(monkeypatch, kind):
     # certify: the drawn rows, then the stepped rows, through the row point
     # check, and the gradient rows through the row tangent check, once each;
     # run: x0's gradient on entry, then the stepped rows and every record's
-    # gradient row after the loop, with no point or tangent built per step
+    # gradient row after the loop, with no point or tangent built per step;
+    # a sphere certify that estimates gamma checks every drawn pair point in
+    # one row pass and the pairs' gradients in another, before its own rows
     make, radius, gamma = FOUR_GEOMETRIES[kind]
     obj = make()
     region = Region(obj.metadata.minimizer, radius)
@@ -405,9 +410,19 @@ def test_pipelines_validate_each_point_and_gradient_once(monkeypatch, kind):
     tangent_rows = count_rows(monkeypatch, type(obj.manifold), "_tangents_ok")
     points = count_calls(monkeypatch, ManifoldPoint, "__post_init__")
     tangents = count_calls(monkeypatch, TangentVector, "__post_init__")
+    draws = count_calls(monkeypatch, manifolds, "sample_point")
+    # counted also where a module imports it by name
+    monkeypatch.setattr(objectives_module, "sample_point", manifolds.sample_point, raising=False)
     certify_region(obj, region, "auto", 50, seed=3, gamma_override=gamma)
     assert (point_rows, tangent_rows) == ([50, 50], [50])
     assert (len(points), len(tangents)) == (0, 0)
+    if kind == "sphere":
+        point_rows.clear()
+        tangent_rows.clear()
+        certify_region(obj, region, "auto", 50, seed=3)
+        assert point_rows[0] >= 2 * GAMMA_PAIRS and point_rows[1:] == [50, 50]
+        assert tangent_rows == [2 * GAMMA_PAIRS, 50]
+        assert (len(points), len(tangents), len(draws)) == (0, 0, 0)
     for counted in (point_rows, tangent_rows, points, tangents):
         counted.clear()
     traj = run(obj, x0, StepSizePolicy(mode="fixed", eta=0.1), 20, region=region)

@@ -369,6 +369,28 @@ def test_cli_run_writes_the_trajectory_when_a_gradient_overflows(tmp_path, capsy
     assert doc["steps"][1]["gradient_norm"] is None  # inf in the CSV
 
 
+def test_cli_run_perturbed_quad_whose_gradient_overflows_stops_with_a_gradient_error(tmp_path, capsys):
+    # at seed 5, 2 * omega * x_1 overflows at a finite iterate, where sin gives NaN
+    pert = {"id": "perturbed_quad", "params": {"q": [[1.0, 0.0], [0.0, 4.0]], "minimizer": [0.0, 0.0], "epsilon": 0.3}}
+    doc = quad_doc(objective=pert, region={"radius": 1.0}, eta=1e307, seed=5, out=str(tmp_path / "run"))
+    assert main(["run", "--config", write_doc(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "run aborted: gradient-error: tangent coordinates must be finite" in err
+    assert "Traceback" not in err
+    traj = strict_json(tmp_path / "run" / "trajectory.json")
+    assert traj["stop_reason"] == "gradient-error: tangent coordinates must be finite"
+
+
+def test_cli_run_start_whose_distance_overflows_exit_three(tmp_path, capsys):
+    # the drawn start lies inside radius 1e160, but its distance from the center overflows
+    cfg = write_doc(tmp_path, quad_doc(region={"radius": 1e160}, eta=0.25, out=str(tmp_path / "run")))
+    assert main(["run", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: x0 lies outside the declared region: its distance inf from the center")
+    assert "radius 1e+160" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_run_non_finite_start_exit_three(tmp_path, capsys):
     huge = {"id": "quad_euclidean", "params": {"q": [[1e307, 0.0], [0.0, 1e307]], "minimizer": [0.0, 0.0]}}
     cfg = write_doc(tmp_path, quad_doc(objective=huge, eta=0.1, out=str(tmp_path / "run")))

@@ -200,7 +200,7 @@ def test_run_records_region_exits():
 def test_run_rejects_start_outside_region():
     obj = quad_euclidean(Q14, [0.0, 0.0])
     region = Region(obj.metadata.minimizer, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ManifoldError, match="its distance 5 from the center exceeds the radius 1"):
         run(obj, obj.manifold.point([5.0, 0.0]), StepSizePolicy(mode="fixed", eta=0.1), 3, region=region)
 
 
@@ -273,8 +273,13 @@ def test_run_rejects_a_start_with_a_non_finite_value():
 
 
 def test_run_stops_where_the_objective_raises_at_a_point_that_fails_its_check():
-    # the step overflows to -inf, where the 1-d perturbed_quad gradient calls math.sin(-inf)
-    obj = perturbed_quad(Q14, [0.0, 0.0], epsilon=0.1)
+    # the step overflows to -inf, where this single-point perturbed_quad gradient calls math.sin(-inf)
+    def gradient_fn(c):
+        g = Q14 @ c
+        g[0] += 0.1 * 5.0 * math.sin(2.0 * 5.0 * c[0])
+        return g
+
+    obj = replace(perturbed_quad(Q14, [0.0, 0.0], epsilon=0.1), gradient_fn=gradient_fn)
     traj = run(obj, obj.manifold.point([2.0, 2.0]), StepSizePolicy(mode="fixed", eta=1e308), 5)
     assert traj.stop_reason == "step-error: point coordinates must be finite"
     assert len(traj.steps) == 1

@@ -1,6 +1,8 @@
 """Objective catalog: values, gradients, oracles, estimators, and the builder."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +15,18 @@ from geodescent.manifolds import (
     Euclidean,
     FlatMetric,
     Hyperboloid,
+    ManifoldError,
     Region,
     Sphere,
+    TangentVector,
     dist,
     exp_map,
+    inner,
+    parallel_transport,
     sample_point,
 )
 from geodescent.objectives import (
+    PAIR_SEPARATION,
     ObjectiveError,
     build,
     catalog_ids,
@@ -163,6 +170,45 @@ def test_estimate_gamma_validation():
         estimate_gamma(obj, Region(obj.metadata.minimizer, 0.0), 8, np.random.default_rng(0))
     with pytest.raises(ObjectiveError, match="too small"):
         estimate_gamma(obj, Region(obj.metadata.minimizer, 3e-7), 8, np.random.default_rng(0))
+
+
+def per_pair_gamma(obj, region, n_pairs, rng):
+    """estimate_gamma's per-pair algorithm on the checked public API."""
+    worst = 0.0
+    for _ in range(n_pairs):
+        x, y = sample_point(region, rng), sample_point(region, rng)
+        while dist(x, y) < PAIR_SEPARATION:
+            y = sample_point(region, rng)
+        diff = TangentVector(x, obj.gradient(x).coords - parallel_transport(y, x, obj.gradient(y)).coords)
+        worst = max(worst, math.sqrt(max(inner(x, diff, diff), 0.0)) / dist(x, y))
+    return 1.05 * worst if worst > 0.0 else 0.0
+
+
+@pytest.mark.parametrize("make, radius", [
+    (lambda: quad_euclidean(Q14, [0.5, -1.0]), 5.0),
+    (lambda: quad_flat_metric(Q14, [0.0, 0.0], [[2.0, 0.3], [0.3, 1.5]]), 3.0),
+    (lambda: rayleigh_sphere(np.diag([3.0, 2.5, 1.0])), 0.5),
+    (lambda: sqdist_hyperboloid([0.3, -0.4, math.sqrt(1.25)]), 1.0),
+])
+def test_estimate_gamma_matches_the_per_pair_algorithm_bit_for_bit(make, radius):
+    obj = make()
+    region = Region(obj.metadata.minimizer, radius)
+    for seed in range(3):
+        est = estimate_gamma(obj, region, 64, np.random.default_rng(seed))
+        assert type(est) is float
+        assert est == per_pair_gamma(obj, region, 64, np.random.default_rng(seed))
+
+
+def test_estimate_gamma_rejects_points_past_the_chart_and_non_tangent_gradients():
+    hyp = sqdist_hyperboloid([0.0, 0.0, 1.0])
+    ray = rayleigh_sphere(np.diag([3.0, 2.5, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ManifoldError, match="trusted chart limit"):
+            estimate_gamma(hyp, Region(hyp.metadata.minimizer, 7.7), 64, np.random.default_rng(0))
+        with pytest.raises(ManifoldError, match="not orthogonal to the sphere point"):
+            estimate_gamma(replace(ray, gradient_fn=lambda c: c), Region(ray.metadata.minimizer, 0.5), 8,
+                           np.random.default_rng(0))
 
 
 # -------------------------------------------------------------- construction
