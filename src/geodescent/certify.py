@@ -14,13 +14,13 @@ only the points actually drawn, and says so through its fields.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import curvature
-from .descent import CONTRACTION_SCAN_FLOOR, REGION_EXIT_TOL, auto_step_policy
+from .descent import CONTRACTION_SCAN_FLOOR, auto_step_policy
 from .manifolds import (
     FlatMetric,
     Hyperboloid,
@@ -79,12 +79,28 @@ class CertificationError(ValueError):
     """Invalid certification inputs (bad ranges, mismatched region, missing constants)."""
 
 
+def _seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise CertificationError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
 def _streams(seed) -> list:
     """The seed policy, the one source of every draw made for a seed: generators for
     sample directions, sample radii and gamma point pairs, from SeedSequence(seed).spawn(3)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise CertificationError(f"seed must be a nonnegative integer, got {seed!r}")
-    return [np.random.default_rng(child) for child in np.random.SeedSequence(int(seed)).spawn(3)]
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(_seed(seed)).spawn(3)]
+
+
+def _draw(region: Region, n: int, seed: int) -> np.ndarray:
+    """The first n sample rows of a seed: _draw_coords on its direction and radius streams.
+    A row that overflows raises CertificationError; the point check is left to the caller.
+    certify_region probes these rows; `geodescent run` starts from row 0."""
+    directions, radii, _ = _streams(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _draw_coords(region, n, directions, radii)
+    if not np.isfinite(x).all():
+        raise CertificationError(f"region radius {region.radius:.6g} is too large to sample: a drawn point overflows")
+    return x
 
 
 def _require_positive(name: str, value) -> float:
@@ -234,30 +250,10 @@ class WscCertificate:
     version: str = TOOL_VERSION
 
     def to_json_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "objective_id": self.objective_id,
-            "manifold": self.region.center.manifold.descriptor(),
-            "region": self.region.to_json_dict(),
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "eta_used": self.eta_used,
-            "gamma_used": self.gamma_used,
-            "gamma_source": self.gamma_source,
-            "delta_bar_used": self.delta_bar_used,
-            "worst_ratio": self.worst_ratio,
-            "c_obs": self.c_obs,
-            "a": self.a,
-            "mu": self.mu,
-            "residual_min": self.residual_min,
-            "residual_mean": self.residual_mean,
-            "residual_min_scaled": self.residual_min_scaled,
-            "tol_residual": self.tol_residual,
-            "verdict": self.verdict,
-            "flags": list(self.flags),
-            "witness": self.witness,
-            "consistency": self.consistency.to_json_dict() if self.consistency else None,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(manifold=self.region.center.manifold.descriptor(), region=self.region.to_json_dict(),
+                   flags=list(self.flags), consistency=self.consistency.to_json_dict() if self.consistency else None)
+        return doc
 
 
 def _witness_dict(coords: np.ndarray, dist_to_min: np.ndarray, index: int, reason: str) -> dict:
@@ -267,6 +263,39 @@ def _witness_dict(coords: np.ndarray, dist_to_min: np.ndarray, index: int, reaso
         "dist_to_min": float(dist_to_min[index]),
         "reason": reason,
     }
+
+
+def _probe(obj: Objective, eta: float, region: Region, x: np.ndarray) -> tuple:
+    """One step of size eta from each of the (n, ambient) rows x, as per-row arrays
+    (value, d, grad_norm, pull, stepped_ok, measured, exited, ratio): d = dist(x, x*), pull =
+    <grad f(x), -log_x(x*)> (None if a logarithm is undefined), ratio the squared-distance
+    contraction of the measured rows (stepped_ok and d > CONTRACTION_SCAN_FLOOR), else -inf.
+    The rows and gradients are checked once and raise the single-point check's error, except
+    a gradient row that is not finite where the value is not either (the caller's finiteness
+    check catches it); a stepped row that fails its check (a refused exp step's NaN row
+    included) is masked."""
+    m, xstar = obj.manifold, obj.metadata.minimizer.coords
+    _require_rows(m, x)
+    # rows far from x* may overflow, and stepped rows that failed their check may be
+    # NaN or huge: the caller makes only masked use of those, and checks the rest for finiteness
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g = np.asarray(obj.gradient_fn(x), dtype=float)
+        value = np.asarray(obj.value_fn(x), dtype=float)
+        _require_rows(m, x, g, overflowed=~np.isfinite(value) if value.shape == (len(x),) else None)
+        if value.shape != (len(x),):
+            raise CertificationError(f"value_fn returned shape {value.shape} for {len(x)} rows")
+        d = m._dist(x, xstar)
+        grad_norm = np.sqrt(np.maximum(m._inner(x, g, g), 0.0))
+        try:
+            pull = _pull(m, x, g, xstar)
+        except ManifoldError:
+            pull = None
+        stepped = m._exp(x, -eta * g)
+        stepped_ok = m._points_ok(stepped)
+        measured = stepped_ok & (d > CONTRACTION_SCAN_FLOOR)
+        exited = stepped_ok & region.outside(m._dist(region.center.coords, stepped))
+        ratio = np.where(measured, (m._dist(stepped, xstar) / d) ** 2, -np.inf)
+    return value, d, grad_norm, pull, stepped_ok, measured, exited, ratio
 
 
 def certify_region(
@@ -282,35 +311,35 @@ def certify_region(
 ) -> WscCertificate:
     """Sampled weak-strong-convexity certificate for a geodesic ball around x*.
 
-    Pipeline: draw n_samples points, take one gradient step from each, measure
-    the worst squared-distance contraction c_obs, reconstruct (a, mu) through
-    the converse formulas with delta_bar evaluated at the region radius (the
+    Stages, in order: check the inputs; resolve gamma (resolve_gamma) and, for
+    eta = "auto", apply descent.auto_step_policy to it; draw n_samples points
+    (_draw, the seed's sample rows); probe them (_probe: one gradient step from
+    each, as the rows of one array); decide. The decision takes the worst
+    squared-distance contraction c_obs, reconstructs (a, mu) through the
+    converse formulas with delta_bar evaluated at the region radius (the
     per-point infimum, so one (a, mu) pair is sound for every sample), then
-    evaluate the defining residual at all samples. Verdict is ternary:
+    evaluates the defining residual at all samples. Verdict is ternary:
     certified / refuted (negative residual, with witness) / inconclusive
     (contraction hypothesis failed, constants degenerate, steps errored, or a
-    number overflowed).
+    number overflowed). workers is validated and never changes the result.
 
-    eta = "auto" applies descent.auto_step_policy with the gamma resolved
-    here. workers is validated and never changes the result: all samples are
-    probed at once, as the rows of one array, on the calling thread.
-
-    A drawn point or gradient that fails its check raises; step and log errors
-    during probing become flags, never exceptions, and so does a drawn row's
-    value, distance, gradient norm, measured ratio or residual that is not
-    finite ("non-finite-value"), so a certificate holds no inf or NaN. residual_mean is the
-    exactly rounded mean (math.fsum), so it depends on no summation order.
+    A radius so large that a drawn point overflows raises CertificationError
+    before any objective call. A drawn point or gradient that fails its check
+    raises, except a gradient row that is not finite where the value is not
+    either; step and log errors during probing become flags, never exceptions,
+    and so does a drawn row's value, distance, gradient norm, measured ratio or
+    residual that is not finite ("non-finite-value"), so a certificate holds no
+    inf or NaN. residual_mean is the exactly rounded mean (math.fsum), so it
+    depends on no summation order.
     """
-    if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 1:
-        raise CertificationError(f"n_samples must be a positive integer, got {n_samples!r}")
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise CertificationError(f"workers must be a positive integer, got {workers!r}")
+    for name, count in (("n_samples", n_samples), ("workers", workers)):
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            raise CertificationError(f"{name} must be a positive integer, got {count!r}")
     auto_eta = eta == "auto"
     if not auto_eta:
         eta = _require_positive("eta", eta)
     tol_residual = _require_positive("tol_residual", tol_residual)
-    directions, radii, _ = _streams(seed)
-    seed = int(seed)
+    seed = _seed(seed)
     if region.center.manifold != obj.manifold:
         raise CertificationError("region and objective live on different manifolds")
     xstar = obj.metadata.minimizer
@@ -335,13 +364,7 @@ def certify_region(
             "on positively curved manifolds"
         )
 
-    flags = set()
-    if gamma_source == "estimated":
-        flags.add("gamma-estimated")
-    elif gamma_source == "override":
-        flags.add("gamma-override")
-
-    fstar = obj.value(xstar)
+    flags = set() if gamma_source == "analytic" else {f"gamma-{gamma_source}"}
 
     def finish(verdict, *, delta_bar_used=None, worst=None, c_obs=None, a=None, mu=None,
                res_min=None, res_mean=None, res_min_scaled=None, witness=None, consistency=None):
@@ -368,33 +391,8 @@ def certify_region(
             res_min=r0, res_mean=r0, res_min_scaled=r0, consistency=consistency,
         )
 
-    # probe stage, one row per sample: the drawn rows and their gradients are
-    # checked once and raise; a stepped row that fails its check (the NaN rows
-    # of a refused exp step included) becomes a step-error sample
-    m = obj.manifold
-    x = _draw_coords(region, n_samples, directions, radii)
-    _require_rows(m, x)
-    g = np.asarray(obj.gradient_fn(x), dtype=float)
-    _require_rows(m, x, g)
-    # rows far from x* may overflow, and stepped rows that failed their check may be
-    # NaN or huge: only masked use is made of those, and the run ends "inconclusive"
-    # below if any drawn row's value, distance, gradient norm or measured ratio is not finite
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value = np.asarray(obj.value_fn(x), dtype=float)
-        if value.shape != (n_samples,):
-            raise CertificationError(f"value_fn returned shape {value.shape} for {n_samples} rows")
-        d = m._dist(x, xstar.coords)
-        grad_norm = np.sqrt(np.maximum(m._inner(x, g, g), 0.0))
-        try:
-            pull = _pull(m, x, g, xstar.coords)
-        except ManifoldError:
-            pull = None
-        stepped = m._exp(x, -eta * g)
-        stepped_ok = m._points_ok(stepped)
-        measured = stepped_ok & (d > CONTRACTION_SCAN_FLOOR)
-        exited = stepped_ok & (m._dist(region.center.coords, stepped) > region.radius + REGION_EXIT_TOL)
-        ratio = np.where(measured, (m._dist(stepped, xstar.coords) / d) ** 2, -np.inf)
-
+    x = _draw(region, n_samples, seed)
+    value, d, grad_norm, pull, stepped_ok, measured, exited, ratio = _probe(obj, eta, region, x)
     if not stepped_ok.all():
         flags.add("step-error")
     if exited.any():
@@ -426,12 +424,13 @@ def certify_region(
                                     theorem_parameters=(delta_bar_used == 1.0))
     if not consistency.ok:
         flags.add("consistency-violation")
+    fitted = dict(delta_bar_used=delta_bar_used, worst=worst, c_obs=c_obs, a=a, mu=mu, consistency=consistency)
 
     if pull is None:
         flags.add("step-error")
-        return finish("inconclusive", delta_bar_used=delta_bar_used, worst=worst,
-                      c_obs=c_obs, a=a, mu=mu, consistency=consistency)
+        return finish("inconclusive", **fitted)
     # residual stage, one pass over the rows
+    fstar = obj.value(xstar)
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = _residual(pull, d, value, fstar, a, mu)
         scaled = residuals / np.maximum(np.maximum(1.0, np.abs(value - fstar)), d ** 2)
@@ -441,24 +440,15 @@ def certify_region(
         res_mean = math.nan
     if not math.isfinite(res_mean):  # so is a residual, or their sum
         flags.add("non-finite-value")
-        return finish("inconclusive", delta_bar_used=delta_bar_used, worst=worst,
-                      c_obs=c_obs, a=a, mu=mu, consistency=consistency)
+        return finish("inconclusive", **fitted)
     min_idx = int(np.argmin(scaled))
-
-    res_min = float(residuals.min())
     res_min_scaled = float(scaled[min_idx])
-
-    if res_min_scaled >= -tol_residual:
-        verdict = "certified"
-        witness = None
-    else:
-        verdict = "refuted"
+    witness = None
+    if res_min_scaled < -tol_residual:
         flags.add("negative-residual")
         witness = _witness_dict(x, d, min_idx, "negative-residual")
-
-    return finish(verdict, delta_bar_used=delta_bar_used, worst=worst, c_obs=c_obs,
-                  a=a, mu=mu, res_min=res_min, res_mean=res_mean,
-                  res_min_scaled=res_min_scaled, witness=witness, consistency=consistency)
+    return finish("certified" if witness is None else "refuted", res_min=float(residuals.min()), res_mean=res_mean,
+                  res_min_scaled=res_min_scaled, witness=witness, **fitted)
 
 
 def weaker_smoothness_residual(obj: Objective, x: ManifoldPoint, gamma: float) -> float:

@@ -17,10 +17,10 @@ import argparse
 import sys
 from typing import Optional
 
-from .certify import TOOL_VERSION, CertificationError, _streams, certify_region, resolve_gamma
+from .certify import TOOL_VERSION, CertificationError, _draw, certify_region, resolve_gamma
 from .config import ConfigError, ExperimentConfig, load_config
 from .descent import NoContractionError, StepSizePolicy, auto_step_policy, contraction_rate, run as run_trajectory
-from .manifolds import ManifoldError, ManifoldPoint, _draw_coords
+from .manifolds import ManifoldError, ManifoldPoint
 from .objectives import ObjectiveError
 from .reporting import write_certificate, write_trajectory_csv, write_trajectory_json
 from .selftest import run_selftest
@@ -118,8 +118,7 @@ def _cmd_run(cfg: ExperimentConfig, quiet: bool) -> int:
         policy = auto_step_policy(cfg.objective, cfg.region, gamma)
     else:
         policy = StepSizePolicy(mode="fixed", eta=float(cfg.eta))
-    directions, radii, _ = _streams(cfg.seed)  # x0 is certify's sample 0 for the same seed
-    x0 = ManifoldPoint(cfg.region.center.manifold, _draw_coords(cfg.region, 1, directions, radii)[0])
+    x0 = ManifoldPoint(cfg.region.center.manifold, _draw(cfg.region, 1, cfg.seed)[0])  # certify's sample 0
     traj = run_trajectory(cfg.objective, x0, policy, cfg.n_steps, region=cfg.region, seed=cfg.seed)
     csv_path = write_trajectory_csv(traj, cfg.out_dir)
     write_trajectory_json(traj, cfg.out_dir)

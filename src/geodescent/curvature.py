@@ -22,6 +22,10 @@ __all__ = [
 ]
 
 
+SERIES_CUTOFF = 1e-8  # below this argument the constants take their series 1 +- s^2/3
+DOMAIN_GUARD = 1e-9   # margin kept from the edge of the positive-curvature domain
+
+
 class CurvatureDomainError(ValueError):
     """Inputs outside the domain on which a comparison constant is defined."""
 
@@ -37,7 +41,7 @@ def zeta(k_min: float, d: float) -> float:
     if k_min >= 0.0 or d == 0.0:
         return 1.0
     s = math.sqrt(-k_min) * d
-    if s < 1e-8:
+    if s < SERIES_CUTOFF:
         return 1.0 + s * s / 3.0
     return s / math.tanh(s)
 
@@ -53,12 +57,12 @@ def delta_bar(k_max: float, d: float) -> float:
     if k_max <= 0.0 or d == 0.0:
         return 1.0
     limit = math.pi / (4.0 * math.sqrt(k_max))
-    if d >= limit - 1e-9:
+    if d >= limit - DOMAIN_GUARD:
         raise CurvatureDomainError(
             f"distance {d:.6g} violates the positive-curvature domain d < pi/(4*sqrt(k_max)) = {limit:.6g}"
         )
     s = 2.0 * math.sqrt(k_max) * d
-    if s < 1e-8:
+    if s < SERIES_CUTOFF:
         return 1.0 - s * s / 3.0
     return s / math.tan(s)
 
@@ -88,9 +92,9 @@ def _conservative_delta(k_max: float, ab: float, bc: float, ac: float) -> float:
     s = math.sqrt(k_max) * (min(ab, ac) + bc)
     if s == 0.0:
         return 1.0
-    if s < 1e-8:
+    if s < SERIES_CUTOFF:
         return 1.0 - s * s / 3.0
-    if s >= math.pi - 1e-9:
+    if s >= math.pi - DOMAIN_GUARD:
         raise CurvatureDomainError(
             f"conservative comparison point sqrt(k_max)*(min(ab,ac)+bc) = {s:.6g} must stay below pi"
         )

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import curvature
 from .manifolds import Manifold, ManifoldError, ManifoldPoint, Region, _first_bad_row, dist
+from .manifolds import REGION_EXIT_TOL  # noqa: F401  (kept importable from here)
 from .objectives import Objective, ObjectiveError
 
 __all__ = [
@@ -37,7 +38,6 @@ POLICY_MODES = ("fixed", "prop1", "prop2", "thm2_guard")
 EXPANSION_TOL = 1e-10
 # iterates closer to the minimizer than this produce pure-noise ratios
 CONTRACTION_SCAN_FLOOR = 1e-12
-REGION_EXIT_TOL = 1e-9
 
 
 class StepSizeError(ValueError):
@@ -245,7 +245,7 @@ def run(
     m = obj.manifold
     # iterates past a failing record are computed, and may overflow, before they are dropped
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if region is not None and (d0 := dist(region.center, x0)) > region.radius + REGION_EXIT_TOL:
+        if region is not None and region.outside(d0 := dist(region.center, x0)):
             raise ManifoldError(f"x0 lies outside the declared region: its distance {d0:.6g} "
                                 f"from the center exceeds the radius {region.radius:.6g}")
         value, g = obj.value(x0), obj.gradient(x0)
@@ -307,7 +307,7 @@ def run(
         dists = m._dist(coords, obj.metadata.minimizer.coords).tolist()
         exited = ()
         if region is not None:
-            outside = m._dist(region.center.coords, coords[1:]) > region.radius + REGION_EXIT_TOL
+            outside = region.outside(m._dist(region.center.coords, coords[1:]))
             exited = tuple((np.flatnonzero(outside) + 1).tolist())
     return Trajectory(
         objective_id=obj.id,

@@ -46,6 +46,9 @@ TANGENT_TOL = 1e-10
 _SMALL = 1e-8           # below this, series / identity branches take over
 _ANTIPODE_GUARD = 1e-8  # sphere logarithm rejected within this of distance pi
 _DEGENERATE = 1e-14     # log and transport treat shorter directions as zero
+_MIN_DIRECTION = 1e-12  # the draw skips directions whose tangent projection is shorter
+_SYMMETRY_TOL = 1e-12   # relative asymmetry a metric or objective matrix may carry
+REGION_EXIT_TOL = 1e-9  # a point this far past a region's radius has left it (Region.outside)
 
 
 class ManifoldError(ValueError):
@@ -66,15 +69,15 @@ def _as_vector(values, what: str) -> np.ndarray:
 
 
 def _symmetric_matrix(values, what: str, error: type[Exception]) -> np.ndarray:
-    """Read-only float copy of a square, finite matrix symmetric to 1e-12 relative; raises error otherwise."""
+    """Read-only float copy of a square, finite matrix symmetric to _SYMMETRY_TOL relative; raises error otherwise."""
     mat = np.array(values, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise error(f"{what} must be a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise error(f"{what} must be finite")
     scale = max(1.0, float(np.max(np.abs(mat))))
-    if float(np.max(np.abs(mat - mat.T))) > 1e-12 * scale:
-        raise error(f"{what} must be symmetric to 1e-12 relative tolerance")
+    if float(np.max(np.abs(mat - mat.T))) > _SYMMETRY_TOL * scale:
+        raise error(f"{what} must be symmetric to {_SYMMETRY_TOL:g} relative tolerance")
     mat.setflags(write=False)
     return mat
 
@@ -197,8 +200,10 @@ class Manifold:
     #
     # _inner, _dist, _exp, _log and _project take one point or (n, ambient)
     # rows and return one result per row (see the row helpers); _transport
-    # takes one point. One point goes through the row code, except in the 1-d
-    # branches kept for the loops that call them once per point:
+    # takes one point. Rows come from certify's draw and probe stages and from
+    # descent.run's passes after its loop. One point goes through the row
+    # code, except in the 1-d branches kept for the loops that call them once
+    # per point:
     # - every step of descent.run: _inner, the sphere and hyperboloid _exp, the
     #   gradient_fn of quad_euclidean, quad_flat_metric and rayleigh_sphere, and
     #   the hyperboloid _log and _dist (sqdist_hyperboloid's gradient);
@@ -344,13 +349,16 @@ class Sphere(Manifold):
     def curvature_bounds(self) -> tuple[float, float]:
         return (1.0, 1.0)
 
+    # a squared norm that overflows is inf: off the sphere, and a tolerance that any product meets
     def _point_contracts(self, c):
-        return ((np.abs(np.sqrt(_rdot(c, c)) - 1.0) <= POINT_TOL,
-                 f"sphere point must have unit norm within {POINT_TOL}"),)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ((np.abs(np.sqrt(_rdot(c, c)) - 1.0) <= POINT_TOL,
+                     f"sphere point must have unit norm within {POINT_TOL}"),)
 
     def _tangent_contracts(self, x, v):
-        tol = TANGENT_TOL * np.maximum(1.0, np.sqrt(_rdot(v, v)))
-        return ((np.abs(_rdot(x, v)) <= tol, "tangent vector is not orthogonal to the sphere point"),)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tol = TANGENT_TOL * np.maximum(1.0, np.sqrt(_rdot(v, v)))
+            return ((np.abs(_rdot(x, v)) <= tol, "tangent vector is not orthogonal to the sphere point"),)
 
     def _inner(self, x, u, v):
         if u.ndim == 1 and v.ndim == 1:
@@ -636,6 +644,10 @@ class Region:
                     "when the curvature upper bound is positive"
                 )
 
+    def outside(self, d):
+        """Whether a distance d from the center (or each one of an array) exceeds radius + REGION_EXIT_TOL."""
+        return d > self.radius + REGION_EXIT_TOL
+
     def to_json_dict(self) -> dict:
         return {
             "manifold": self.center.manifold.descriptor(),
@@ -706,7 +718,7 @@ def _draw_coords(region: Region, n: int, directions: np.random.Generator,
     """Coordinates of n points of the region, one row each; row i never depends on n.
 
     Row i: the i-th Gaussian row of `directions` whose tangent projection at the center
-    has norm >= 1e-12 (shorter ones, a measure-zero event, are skipped), normalized and
+    has norm >= _MIN_DIRECTION (shorter ones, a measure-zero event, are skipped), normalized and
     pushed to geodesic radius R * u^(1/dim), u = 1 - the i-th draw of `radii`.
     A radius-0 region gives n copies of its center and draws nothing."""
     m = region.center.manifold
@@ -715,8 +727,8 @@ def _draw_coords(region: Region, n: int, directions: np.random.Generator,
         return np.tile(c, (n, 1))
     t = m._project(c, directions.standard_normal((n, m.ambient_dim)))
     nrm = np.sqrt(np.maximum(m._inner(c, t, t), 0.0))
-    while np.any(nrm < 1e-12):
-        keep = nrm >= 1e-12
+    while np.any(nrm < _MIN_DIRECTION):
+        keep = nrm >= _MIN_DIRECTION
         more = m._project(c, directions.standard_normal((n - np.count_nonzero(keep), m.ambient_dim)))
         t = np.concatenate((t[keep], more))
         nrm = np.sqrt(np.maximum(m._inner(c, t, t), 0.0))
@@ -726,10 +738,12 @@ def _draw_coords(region: Region, n: int, directions: np.random.Generator,
     return m._exp(c, (radius / nrm)[:, None] * t)
 
 
-def _first_bad_row(m: Manifold, c: np.ndarray, v: np.ndarray | None = None):
-    """(i, error) for the first row i that fails _require_rows' row check, error being the
-    one the single-point check raises for row i (a generic one if it passes); None if none fails."""
+def _first_bad_row(m: Manifold, c: np.ndarray, v: np.ndarray | None = None, skip=None):
+    """(i, error) for the first row i, outside the mask skip, that fails _require_rows' row check, error
+    being the one the single-point check raises for row i (a generic one if it passes); None if none fails."""
     ok = m._points_ok(c) if v is None else m._tangents_ok(c, v)
+    if skip is not None:
+        ok = ok | skip
     if ok.all():
         return None
     i = int(np.argmin(ok))
@@ -740,14 +754,15 @@ def _first_bad_row(m: Manifold, c: np.ndarray, v: np.ndarray | None = None):
     return i, ManifoldError(f"row {i} fails the {'point' if v is None else 'tangent'} check")
 
 
-def _require_rows(m: Manifold, c: np.ndarray, v: np.ndarray | None = None) -> None:
+def _require_rows(m: Manifold, c: np.ndarray, v: np.ndarray | None = None, overflowed=None) -> None:
     """The row form of the point check of each row of c or, given v, of the tangent check
     of each row of v at the same row of c. Raises the 1-d check's error for the first row
-    that fails."""
+    that fails, except a row that is not finite where the mask overflowed is set (the
+    caller flags it)."""
     rows = c if v is None else v
     if rows.shape != (c.shape[0], m.ambient_dim):
         raise ManifoldError(f"rows have shape {rows.shape}, expected ({c.shape[0]}, {m.ambient_dim})")
-    bad = _first_bad_row(m, c, v)
+    bad = _first_bad_row(m, c, v, None if overflowed is None else overflowed & ~np.isfinite(rows).all(axis=1))
     if bad is not None:
         raise bad[1]
 

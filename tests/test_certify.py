@@ -51,6 +51,7 @@ from geodescent.objectives import (
     sqdist_hyperboloid,
 )
 from geodescent.reporting import canonical_json
+from geodescent.selftest import objective_zoo
 
 Q14 = np.diag([1.0, 4.0])
 
@@ -316,6 +317,54 @@ def test_certify_all_steps_error_is_inconclusive():
         canonical_json(cert.to_json_dict())
 
 
+def test_certify_radius_whose_draw_overflows_is_rejected_before_any_objective_call():
+    calls = []
+
+    def recording(fn):
+        def wrapper(c):
+            calls.append(np.shape(c))
+            return fn(c)
+        return wrapper
+
+    obj = quad()
+    obj = dataclasses.replace(obj, value_fn=recording(obj.value_fn), gradient_fn=recording(obj.gradient_fn))
+    with pytest.raises(CertificationError, match=r"region radius 1e\+308 is too large to sample"):
+        certify_region(obj, Region(obj.metadata.minimizer, 1e308), 0.25, 50, seed=1)
+    assert calls == []
+
+
+def test_certify_gradient_that_overflows_with_its_value_is_inconclusive():
+    # at radius 3e307 the values overflow, and so do the gradients' sin(2 omega z) terms
+    obj = perturbed_quad(Q14, [0.0, 0.0])
+    cert = certify_region(obj, Region(obj.metadata.minimizer, 3e307), 0.01, 50, seed=1)
+    assert cert.verdict == "inconclusive"
+    assert "non-finite-value" in cert.flags
+    canonical_json(cert.to_json_dict())
+    # a finite gradient that fails its tangent contract still raises, next to overflowing rows
+    ray = rayleigh_sphere(np.diag([3.0, 2.5, 1.0]))
+
+    def overflowing_value(c):  # row 3 only; f(x*) stays finite
+        out = ray.value_fn(c)
+        if np.ndim(c) == 2:
+            out[3] = np.inf
+        return out
+
+    def overflowing_gradient(c, tilt=False):
+        out = ray.gradient_fn(c)
+        out[3] = np.nan
+        if tilt:
+            out[7] += 1e-3 * c[7]
+        return out
+
+    region = Region(ray.metadata.minimizer, 0.5)
+    cert = certify_region(dataclasses.replace(ray, value_fn=overflowing_value, gradient_fn=overflowing_gradient),
+                          region, 0.3, 20, seed=1, gamma_override=2.1)
+    assert cert.verdict == "inconclusive" and "non-finite-value" in cert.flags
+    tilted = dataclasses.replace(ray, value_fn=overflowing_value, gradient_fn=lambda c: overflowing_gradient(c, True))
+    with pytest.raises(ManifoldError, match="not orthogonal"):
+        certify_region(tilted, region, 0.3, 20, seed=1, gamma_override=2.1)
+
+
 def test_certify_flags_region_exit():
     obj = quad()
     cert = certify_region(obj, Region(obj.metadata.minimizer, 10.0), 10.0, 200, seed=5)
@@ -489,6 +538,21 @@ def test_first_samples_do_not_depend_on_the_sample_count(kind, seed, n, data):
         assert len(drawn) == count
         runs.append(np.array(drawn))
     assert np.array_equal(runs[0][:k], runs[1])
+
+
+ZOO = objective_zoo()
+ZOO_RADII = {"euclidean": 10.0, "flat_metric": 5.0, "sphere": 0.5, "hyperboloid": 2.0}
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(index=st.integers(0, len(ZOO) - 1), seed=st.integers(0, 2**64 - 1), n=st.integers(1, 12),
+       workers=st.integers(2, 8))
+def test_worker_count_never_changes_the_certificate(index, seed, n, workers):
+    obj = ZOO[index]
+    region = Region(obj.metadata.minimizer, ZOO_RADII[obj.manifold.kind])
+    one, many = (canonical_json(certify_region(obj, region, "auto", n, seed, workers=w).to_json_dict())
+                 for w in (1, workers))
+    assert many == one
 
 
 Q14_PARAMS = {"q": [[1, 0], [0, 4]], "minimizer": [0, 0]}

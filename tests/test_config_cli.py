@@ -391,6 +391,13 @@ def test_cli_run_start_whose_distance_overflows_exit_three(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_certify_radius_whose_draw_overflows_exit_three(tmp_path, capsys):
+    cfg = write_doc(tmp_path, quad_doc(region={"radius": 1e308}, seed=1, n_samples=50, out=str(tmp_path / "out")))
+    assert main(["certify", "--config", cfg]) == 3
+    assert capsys.readouterr().err == "error: region radius 1e+308 is too large to sample: a drawn point overflows\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_non_finite_start_exit_three(tmp_path, capsys):
     huge = {"id": "quad_euclidean", "params": {"q": [[1e307, 0.0], [0.0, 1e307]], "minimizer": [0.0, 0.0]}}
     cfg = write_doc(tmp_path, quad_doc(objective=huge, eta=0.1, out=str(tmp_path / "run")))

@@ -327,6 +327,15 @@ def test_hyperboloid_1d_kernel_is_silent_at_overflow_scale():
                 manifolds._checked_point(m, np.array(c))
 
 
+def test_sphere_checks_are_silent_when_squared_norms_overflow():
+    # the squared norm overflows to inf: the tangent tolerance grows with it, and the point is off the sphere
+    m = Sphere(2)
+    v = TangentVector(m.point([0.0, 0.0, 1.0]), [1e300, 1e300, 1e-300])
+    assert v.coords.tolist() == [1e300, 1e300, 1e-300]
+    with pytest.raises(ManifoldError, match="unit norm"):
+        m.point([1e200, 0.0, 0.0])
+
+
 def _same(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
