@@ -34,6 +34,10 @@ __all__ = [
 
 POLICY_MODES = ("fixed", "prop1", "prop2", "thm2_guard")
 
+# records per row pass of descent.run's gradient norms, and so the most
+# gradient_fn calls a run makes past a non-finite norm, less one
+NORM_BLOCK = 64
+
 # per-step squared-distance ratios above this are treated as genuine expansion
 EXPANSION_TOL = 1e-10
 # iterates closer to the minimizer than this produce pure-noise ratios
@@ -158,7 +162,7 @@ class Trajectory:
             "steps": [
                 {
                     "index": rec.index,
-                    "coords": [float(c) for c in rec.point.coords],
+                    "coords": rec.point.coords.tolist(),
                     "value": _finite_or_none(rec.value),
                     "gradient_norm": _finite_or_none(rec.gradient_norm),
                     "dist_to_min": _finite_or_none(rec.dist_to_min),
@@ -210,6 +214,18 @@ def _step_along(m: Manifold, x: np.ndarray, g: np.ndarray, g_norm: float, eta: f
     return m._exp(x, -eta * g)
 
 
+def _extend_norms(m: Manifold, coords: list, grads: list, norms: list) -> bool:
+    """Appends to norms, in one row pass, the gradient norms of the records past its end,
+    each equal to the 1-d norm bit for bit; False if one of them is not finite."""
+    k = len(norms)
+    if k == len(grads):
+        return True
+    g = np.array(grads[k:])
+    new = np.sqrt(np.maximum(m._inner(np.array(coords[k:]), g, g), 0.0))
+    norms += new.tolist()
+    return bool(np.isfinite(new).all())
+
+
 def run(
     obj: Objective,
     x0: ManifoldPoint,
@@ -225,9 +241,16 @@ def run(
     gradient and eta are checked before the loop (an x0 farther from the
     region's center than its radius, the distance overflowing included, raises
     ManifoldError; a non-finite start value or gradient norm, or a gradient of
-    the wrong shape, raises ObjectiveError). After it come one row pass each
-    over the stepped points and the gradients, then one row call of value_fn
-    for the values of the kept stepped iterates (on the hyperboloid these may
+    the wrong shape, raises ObjectiveError).
+    The gradient norms are taken in row passes of up to NORM_BLOCK = 64
+    records, each equal to the 1-d norm bit for bit; the sphere, whose pi guard
+    needs each norm before the next step, takes one 1-d norm per step. A
+    non-finite norm ends the loop at the end of its block, so a diverging run
+    makes at most 63 gradient_fn calls past it; their iterates, and any error
+    raised on the way, are dropped, and the records and stop_reason are those
+    of a loop that stops at once. After the loop come one row pass each over
+    the stepped points and the gradients, then one row call of value_fn for
+    the values of the kept stepped iterates (on the hyperboloid these may
     differ from the single-point values within roundoff), then the distances
     and region exits.
     stop_reason is "completed" or names the earliest failure, which ends the
@@ -253,35 +276,51 @@ def run(
         if not (math.isfinite(value) and math.isfinite(g_norm)):
             raise ObjectiveError(f"objective '{obj.id}' is not finite at x0 (value {value}, gradient norm {g_norm})")
         c, gc = x0.coords, g.coords
-        coords, grads, norms = [c], [gc], [g_norm]  # one entry per record
+        coords, grads, norms = [c], [gc], [g_norm]  # one entry per record; norms may lag behind
         stop_reason, steps = "completed", range(n_steps)
         try:
             _check_eta(eta)
         except StepSizeError as e:
             stop_reason, steps = f"step-error: {e}", ()
-        for _ in steps:
-            try:
-                c = _step_along(m, c, gc, g_norm, eta)
-            except (ManifoldError, StepSizeError) as e:
-                stop_reason = f"step-error: {e}"
-                break
-            try:
-                gc = np.asarray(obj.gradient_fn(c), dtype=float)
-            except (ArithmeticError, ValueError):
-                bad = _first_bad_row(m, c[None])  # at a point that fails its check, say math.sin(inf)
-                if bad is None:
-                    raise
-                stop_reason = f"step-error: {bad[1]}"
-                break
-            if gc.shape != c.shape:
-                raise ObjectiveError(f"objective '{obj.id}' returned a gradient of shape {gc.shape}, not {c.shape}")
-            g_norm = math.sqrt(max(m._inner(c, gc, gc), 0.0))
-            coords.append(c)
-            grads.append(gc)
-            norms.append(g_norm)
-            if not math.isfinite(g_norm):
-                break  # ends as non-finite-value below
-
+        sphere, exp = m.kind == "sphere", m._exp
+        try:
+            for i in steps:
+                try:
+                    c = _step_along(m, c, gc, g_norm, eta) if sphere else exp(c, -eta * gc)
+                except (ManifoldError, StepSizeError) as e:
+                    stop_reason = f"step-error: {e}"
+                    break
+                try:
+                    gc = np.asarray(obj.gradient_fn(c), dtype=float)
+                except (ArithmeticError, ValueError):
+                    bad = _first_bad_row(m, c[None])  # at a point that fails its check, say math.sin(inf)
+                    if bad is None:
+                        raise
+                    stop_reason = f"step-error: {bad[1]}"
+                    break
+                if gc.shape != c.shape:
+                    raise ObjectiveError(f"objective '{obj.id}' returned a gradient of shape {gc.shape}, not {c.shape}")
+                coords.append(c)
+                grads.append(gc)
+                if sphere:  # the pi guard of the next step needs this norm
+                    g_norm = math.sqrt(max(m._inner(c, gc, gc), 0.0))
+                    norms.append(g_norm)
+                    if not math.isfinite(g_norm):
+                        break
+                elif i % NORM_BLOCK == NORM_BLOCK - 1 and not _extend_norms(m, coords, grads, norms):
+                    break
+        except Exception:
+            # past a non-finite gradient norm, the loop would have stopped before this step
+            _extend_norms(m, coords, grads, norms)
+            if np.isfinite(norms).all():
+                raise
+        _extend_norms(m, coords, grads, norms)
+        finite = np.isfinite(norms)
+        if not finite.all():
+            # the trajectory ends at the first non-finite norm, as non-finite-value below
+            end = int(np.argmin(finite)) + 1
+            del coords[end:], grads[end:], norms[end:]
+            stop_reason = "completed"
         coords, grads = np.array(coords), np.array(grads)  # stacked, and the lists of rows freed
         coords.setflags(write=False)
         end = len(coords)

@@ -201,12 +201,14 @@ class Manifold:
     # _inner, _dist, _exp, _log and _project take one point or (n, ambient)
     # rows and return one result per row (see the row helpers); _transport
     # takes one point. Rows come from certify's draw and probe stages and from
-    # descent.run's passes after its loop. One point goes through the row
-    # code, except in the 1-d branches kept for the loops that call them once
-    # per point:
-    # - every step of descent.run: _inner, the sphere and hyperboloid _exp, the
-    #   gradient_fn of quad_euclidean, quad_flat_metric and rayleigh_sphere, and
-    #   the hyperboloid _log and _dist (sqdist_hyperboloid's gradient);
+    # descent.run's gradient-norm passes and the passes after its loop. One
+    # point goes through the row code, except in the 1-d branches kept for the
+    # loops that call them once per point:
+    # - every step of descent.run: the sphere and hyperboloid _exp, the sphere
+    #   _inner (its pi guard needs each step's gradient norm; the other
+    #   geometries take the norms in row passes of up to NORM_BLOCK records),
+    #   the gradient_fn of quad_euclidean, quad_flat_metric and rayleigh_sphere,
+    #   and the hyperboloid _log and _dist (sqdist_hyperboloid's gradient);
     # - every pair of estimate_gamma, which a sphere certificate runs (the
     #   sphere has no analytic gamma): the sphere _dist, _inner and _project
     #   (in _transport), and rayleigh_sphere's gradient_fn.
@@ -732,9 +734,10 @@ def _draw_coords(region: Region, n: int, directions: np.random.Generator,
         more = m._project(c, directions.standard_normal((n - np.count_nonzero(keep), m.ambient_dim)))
         t = np.concatenate((t[keep], more))
         nrm = np.sqrt(np.maximum(m._inner(c, t, t), 0.0))
-    # the math-module power per draw, as in the 1-d draw: numpy's vectorized
+    # Python's float power per draw, as in the 1-d draw: numpy's vectorized
     # power may round differently
-    radius = region.radius * np.array([u ** (1.0 / m.dim) for u in (1.0 - radii.random(n)).tolist()])
+    e = 1.0 / m.dim
+    radius = region.radius * np.array([u ** e for u in (1.0 - radii.random(n)).tolist()])
     return m._exp(c, (radius / nrm)[:, None] * t)
 
 

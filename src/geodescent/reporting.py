@@ -5,11 +5,14 @@ determinism comparisons strips it, sorts keys, and drops whitespace, so two
 runs of the same seeded experiment compare byte-for-byte. Both are strict
 JSON, with no NaN or Infinity: a trajectory writes its non-finite numbers as
 null, and the CSV keeps them as inf and nan.
-"""
+
+certificate.json is indented; trajectory.json, one object per record, is
+written compact, which runs json's C encoder. trajectory.csv has one line per
+record of repr'd floats, in csv's dialect (lines end in \r\n, and no field
+needs quoting), written in one call."""
 
 from __future__ import annotations
 
-import csv
 import datetime
 import json
 import os
@@ -35,18 +38,21 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _write_json(doc: dict, out_dir: str, name: str) -> str:
+def _write_json(doc: dict, out_dir: str, name: str, indent=None) -> str:
+    """Writes doc with a created_at timestamp; indent=None writes it compact,
+    which runs json's C encoder (any indent runs the pure-Python one)."""
     os.makedirs(out_dir, exist_ok=True)
     doc["created_at"] = _utc_now()
     path = os.path.join(out_dir, name)
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    separators = (",", ":") if indent is None else None
+    text = json.dumps(doc, indent=indent, separators=separators, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     return path
 
 
 def write_certificate(cert: WscCertificate, out_dir: str) -> str:
-    return _write_json(cert.to_json_dict(), out_dir, "certificate.json")
+    return _write_json(cert.to_json_dict(), out_dir, "certificate.json", indent=2)
 
 
 def write_trajectory_csv(traj: Trajectory, out_dir: str) -> str:
@@ -54,13 +60,14 @@ def write_trajectory_csv(traj: Trajectory, out_dir: str) -> str:
     path = os.path.join(out_dir, "trajectory.csv")
     ambient = len(traj.steps[0].point.coords) if traj.steps else 0
     header = ["step"] + [f"x{i}" for i in range(ambient)] + ["f", "grad_norm", "dist_to_min", "eta"]
+    lines = [",".join(header)]
+    lines += [
+        ",".join([str(rec.index), *map(repr, rec.point.coords.tolist()), repr(rec.value),
+                  repr(rec.gradient_norm), repr(rec.dist_to_min), repr(rec.eta_used)])
+        for rec in traj.steps
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in traj.steps:
-            row = [rec.index] + [repr(float(c)) for c in rec.point.coords]
-            row += [repr(rec.value), repr(rec.gradient_norm), repr(rec.dist_to_min), repr(rec.eta_used)]
-            writer.writerow(row)
+        fh.write("\r\n".join(lines) + "\r\n")  # csv's line terminator; no field needs quoting
     return path
 
 

@@ -1,6 +1,7 @@
 """Config schema validation, CLI exit codes, and report determinism."""
 
 import csv
+import io
 import json
 import math
 import subprocess
@@ -12,9 +13,10 @@ from geodescent import certify as certify_module
 from geodescent.certify import certify_region
 from geodescent.cli import main
 from geodescent.config import ConfigError, load_config, parse_config
+from geodescent.descent import StepSizePolicy, run
 from geodescent.manifolds import Region
-from geodescent.objectives import quad_euclidean
-from geodescent.reporting import canonical_json, write_certificate
+from geodescent.objectives import perturbed_quad, quad_euclidean
+from geodescent.reporting import canonical_json, write_certificate, write_trajectory_csv, write_trajectory_json
 
 
 def quad_doc(**extra):
@@ -484,3 +486,50 @@ def test_write_certificate_file_matches_canonical_form(tmp_path):
     on_disk = json.loads(open(path).read())
     assert "created_at" in on_disk
     assert canonical_json(on_disk) == canonical_json(cert.to_json_dict())
+
+
+def _reference_csv(traj) -> bytes:
+    """trajectory.csv rebuilt through csv.writer, one repr(float(x)) per number."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    ambient = len(traj.steps[0].point.coords)
+    writer.writerow(["step"] + [f"x{i}" for i in range(ambient)] + ["f", "grad_norm", "dist_to_min", "eta"])
+    for rec in traj.steps:
+        numbers = [*rec.point.coords, rec.value, rec.gradient_norm, rec.dist_to_min, rec.eta_used]
+        writer.writerow([rec.index] + [repr(float(x)) for x in numbers])
+    return buf.getvalue().encode()
+
+
+Q14 = [[1.0, 0.0], [0.0, 4.0]]
+WRITER_CASES = {
+    # name: (objective, x0, policy, n_steps, stop_reason prefix, numbers the CSV must hold)
+    "completed": (quad_euclidean(Q14, [0.0, 0.0]), [1.0, -2.0], StepSizePolicy(mode="fixed", eta=0.1), 70,
+                  "completed", ()),
+    "one-record": (quad_euclidean(Q14, [0.0, 0.0]), [1.0, 1.0], StepSizePolicy(mode="prop1", a=1e308, gamma=1e-308),
+                   5, "step-error: step size must be finite", ("inf",)),
+    "non-finite-value": (quad_euclidean(Q14, [1.0, 1.0]), [2.0, 2.0], StepSizePolicy(mode="fixed", eta=1e160), 10,
+                         "non-finite-value", ("inf",)),
+    "gradient-error": (perturbed_quad(Q14, [0.0, 0.0], epsilon=0.3), [0.75, 0.0],
+                       StepSizePolicy(mode="fixed", eta=1e307), 5,
+                       "gradient-error: tangent coordinates must be finite", ("inf", "nan")),
+}
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_trajectory_files_match_an_independent_writer(tmp_path, case):
+    obj, x0, policy, n_steps, stop_reason, non_finite = WRITER_CASES[case]
+    traj = run(obj, obj.manifold.point(x0), policy, n_steps)
+    assert traj.stop_reason.startswith(stop_reason)
+    out = str(tmp_path / "out")
+    with open(write_trajectory_csv(traj, out), "rb") as fh:
+        csv_bytes = fh.read()
+    assert csv_bytes == _reference_csv(traj)
+    fields = {field for row in csv.reader(io.StringIO(csv_bytes.decode())) for field in row[1:]}
+    assert set(non_finite) <= fields
+    write_trajectory_json(traj, out)
+    on_disk = strict_json(tmp_path / "out" / "trajectory.json")
+    assert "created_at" in on_disk
+    assert canonical_json(on_disk) == canonical_json(traj.to_json_dict())
+    if non_finite:  # written as null
+        last = on_disk["steps"][-1]
+        assert None in (last["value"], last["gradient_norm"], last["eta_used"])

@@ -14,6 +14,7 @@ import _oracles as oracles
 
 from geodescent.curvature import zeta
 from geodescent.descent import (
+    NORM_BLOCK,
     REGION_EXIT_TOL,
     NoContractionError,
     StepSizeError,
@@ -34,6 +35,7 @@ from geodescent.objectives import (
     sqdist_hyperboloid,
 )
 from geodescent.reporting import canonical_json
+from geodescent.selftest import objective_zoo
 
 Q14 = np.diag([1.0, 4.0])
 
@@ -439,6 +441,85 @@ def test_run_ranks_a_non_finite_value_before_a_later_refused_step():
     assert len(traj.steps) == 4
     assert math.isnan(traj.steps[3].value)
     assert all(math.isfinite(rec.value) for rec in traj.steps[:3])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("obj", objective_zoo(), ids=lambda obj: obj.id)
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 3 * NORM_BLOCK),
+       eta=st.sampled_from([0.05, 0.3, 1.9, 2.5, 10.0, 1e6, 1e160, 1e307]))
+def test_run_gradient_norms_equal_the_single_point_norm_bit_for_bit(obj, seed, n_steps, eta):
+    # runs of up to three norm blocks; eta 2.5 and 10 on the flat geometries
+    # grow the iterates until a norm overflows inside a later block
+    region = Region(obj.metadata.minimizer, 0.5 if obj.manifold.kind == "sphere" else 2.0)
+    x0 = sample_point(region, np.random.default_rng(seed))
+    traj = run(obj, x0, StepSizePolicy(mode="fixed", eta=eta), n_steps)
+    m = obj.manifold
+    for rec in traj.steps:
+        with np.errstate(all="ignore"):
+            try:
+                expected = obj.gradient(rec.point).norm()
+            except ManifoldError:  # the record of a gradient-error stop: its gradient fails the check
+                g = np.asarray(obj.gradient_fn(rec.point.coords), dtype=float)
+                expected = math.sqrt(max(m._inner(rec.point.coords, g, g), 0.0))
+        assert repr(rec.gradient_norm) == repr(expected)
+    records, stop_reason, _ = _oracle_run(obj, x0, eta, n_steps, None)
+    assert (traj.stop_reason, len(traj.steps)) == (stop_reason, len(records))
+
+
+def _gradient_growing_past_overflow():
+    """quad_euclidean and a start from which eta 10 multiplies the gradient by -39 a step:
+    record NORM_BLOCK + 1, the first of the second norm block, has the first norm that overflows."""
+    obj = quad_euclidean(Q14, [0.0, 0.0])
+    return obj, obj.manifold.point([0.0, 1e51]), StepSizePolicy(mode="fixed", eta=10.0)
+
+
+def _counting(obj, calls, after=None, fail=None):
+    """obj whose gradient_fn records each call and, from call `after` on, runs fail(c) instead."""
+    def gradient_fn(c):
+        calls.append(c)
+        return fail(c) if after is not None and len(calls) > after else obj.gradient_fn(c)
+    return replace(obj, gradient_fn=gradient_fn)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # in the oracle, not in run
+def test_run_makes_at_most_63_gradient_calls_past_a_non_finite_norm():
+    obj, x0, policy = _gradient_growing_past_overflow()
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(_counting(obj, calls), x0, policy, 500)
+    first = NORM_BLOCK + 1
+    assert traj.stop_reason == "non-finite-value"
+    assert len(traj.steps) == first + 1
+    assert traj.steps[first].gradient_norm == math.inf
+    assert all(math.isfinite(rec.gradient_norm) for rec in traj.steps[:first])
+    assert len(calls) - (first + 1) == NORM_BLOCK - 1  # calls for records first + 1 .. 2 * NORM_BLOCK
+    records, stop_reason, _ = _oracle_run(obj, x0, policy.eta, 500, None)
+    assert traj.stop_reason == stop_reason
+    for rec, (coords, value, gradient_norm, _) in zip(traj.steps, records, strict=True):
+        assert np.array_equal(rec.point.coords, coords)
+        assert (rec.value, rec.gradient_norm) == (value, gradient_norm)
+
+
+def _overflow(c):
+    raise OverflowError("math range error")
+
+
+@pytest.mark.parametrize("fail", [_overflow, lambda c: np.zeros(1)], ids=["raises", "wrong-shape"])
+def test_run_drops_an_error_met_past_a_non_finite_norm(fail):
+    # the loop steps on past record NORM_BLOCK + 1 until its block ends, and the
+    # gradient fails at a valid point there; a loop stopping at once never gets there
+    obj, x0, policy = _gradient_growing_past_overflow()
+    reference = run(obj, x0, policy, 500)
+    calls = []
+    traj = run(_counting(obj, calls, after=NORM_BLOCK + 5, fail=fail), x0, policy, 500)
+    assert len(calls) == NORM_BLOCK + 6
+    assert traj.stop_reason == reference.stop_reason == "non-finite-value"
+    assert canonical_json(traj.to_json_dict()) == canonical_json(reference.to_json_dict())
+    # before the first non-finite norm, the same failure still raises
+    with pytest.raises((OverflowError, ObjectiveError)):
+        run(_counting(obj, [], after=NORM_BLOCK - 5, fail=fail), x0, policy, 500)
 
 
 def test_run_validates_n_steps():

@@ -15,12 +15,19 @@ on the way. Sections:
          coordinates whose squares overflow.
 
 Run from the root of a source checkout: python tools/certgrid.py [--dump]
+
+`--against PARENT_DUMP` compares this checkout's lines with another
+checkout's --dump output: it prints both digests and the diff, and exits 1
+unless the keys whose lines differ (added and removed keys included) are
+exactly those listed in tools/certgrid.moves, one key per line. That file
+names the results a change means to move; between changes it is empty.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -40,6 +47,9 @@ from geodescent.manifolds import Region, Sphere, TangentVector  # noqa: E402
 from geodescent.objectives import perturbed_quad, quad_euclidean  # noqa: E402
 from geodescent.reporting import canonical_json  # noqa: E402
 from geodescent.selftest import objective_zoo  # noqa: E402
+
+if os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))) != SRC:
+    sys.exit(f"certgrid: geodescent was imported from {cli.__file__}, not from {SRC}")
 
 # (mid, large) region radius per geometry; every objective also runs at
 # 0, 1e-7, 1e154 and 1e200, which some geometries reject
@@ -144,17 +154,45 @@ def edge_lines(out: str):
     yield "edge sphere point [1e200, 0, 0]", _outcome(lambda: repr(sphere.point([1e200, 0.0, 0.0]).coords.tolist()))
 
 
+MOVES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "certgrid.moves")
+
+
+def _summary(lines: list) -> str:
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return f"certgrid {len(lines)} lines sha256 {digest}"
+
+
+def compare(parent: list, lines: list, moves: set) -> int:
+    """Prints both digests and the diff of parent and lines; 0 if the keys that moved are moves."""
+    print(f"parent {_summary(parent)}")
+    print(f"this   {_summary(lines)}")
+    sys.stdout.writelines(difflib.unified_diff([f"{line}\n" for line in parent], [f"{line}\n" for line in lines],
+                                               "parent", "this"))
+    moved = {line.split(" -> ", 1)[0] for line in set(parent) ^ set(lines)}
+    for key in sorted(moved - moves):
+        print(f"moved, not in {os.path.basename(MOVES)}: {key}")
+    for key in sorted(moves - moved):
+        print(f"in {os.path.basename(MOVES)}, not moved: {key}")
+    return int(moved != moves)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dump", action="store_true", help="print every line before the digest")
+    parser.add_argument("--against", metavar="PARENT_DUMP", help="compare with another checkout's --dump output")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as out:
         lines = [f"{key} -> {value}" for section in (library_lines(), cli_lines(out), edge_lines(out))
                  for key, value in section]
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            parent = [line for line in fh.read().splitlines() if not line.startswith("certgrid ")]
+        with open(MOVES, encoding="utf-8") as fh:
+            moves = {line.strip() for line in fh if line.strip()}
+        return compare(parent, lines, moves)
     if args.dump:
         print("\n".join(lines))
-    print(f"certgrid {len(lines)} lines sha256 {digest}")
+    print(_summary(lines))
     return 0
 
 
